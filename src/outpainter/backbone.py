@@ -37,26 +37,14 @@ class BackboneConfig:
 def tokenize(z):
     """(h, w, s, d) -> (h*w*s, d) in frame-major token order."""
     h, w, s, d = z.shape
-    if isinstance(z, Tensor):
-        return z.transpose((2, 0, 1, 3)).reshape((h * w * s, d))
-    return z.transpose(2, 0, 1, 3).reshape(h * w * s, d)
+    return z.transpose((2, 0, 1, 3)).reshape((h * w * s, d))
 
 
 def untokenize(tokens, grid: tuple):
     """Inverse of tokenize given the (h, w, s) grid."""
     h, w, s = grid
     d = tokens.shape[-1]
-    if isinstance(tokens, Tensor):
-        return tokens.reshape((s, h, w, d)).transpose((1, 2, 0, 3))
-    return tokens.reshape(s, h, w, d).transpose(1, 2, 0, 3)
-
-
-def token_position(index: int, grid: tuple) -> tuple:
-    """Token index -> (row, col, frame)."""
-    h, w, s = grid
-    f, rest = divmod(index, h * w)
-    r, c = divmod(rest, w)
-    return r, c, f
+    return tokens.reshape((s, h, w, d)).transpose((1, 2, 0, 3))
 
 
 def position_encoding(grid: tuple, d_model: int) -> np.ndarray:

@@ -64,6 +64,10 @@ def load_arrays(path: str) -> dict:
             offset = int(offset_s)
         except ValueError:
             raise ValueError(f"{path}: malformed manifest line {line!r}") from None
+        if offset < 0:
+            raise ValueError(f"{path}: array {name!r} has negative offset {offset}")
+        if name in out:
+            raise ValueError(f"{path}: duplicate array name {name!r}")
         count = int(np.prod(shape)) if shape else 1
         end = offset + 8 * count
         if end > len(data):

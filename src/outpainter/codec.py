@@ -69,45 +69,6 @@ def downsample_mask(M: np.ndarray, p: int = PATCH) -> np.ndarray:
     return M.reshape(h, p, w, p, S, 1).mean(axis=(1, 3))
 
 
-def make_masked_video(
-    x: np.ndarray, target_hw: tuple, M: np.ndarray, fill: float = 0.5
-) -> np.ndarray:
-    """Pad a narrow video onto a (H, W) canvas guided by its mask.
-
-    M's ones must form, per frame, an axis-aligned rectangle congruent to
-    x's spatial extent (or be entirely absent, in which case that frame is
-    pure fill). The region to generate is filled with mid-gray, a value
-    symmetric under the [0,1] range; the model also sees the mask itself,
-    so the fill carries no information by design.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    M = np.asarray(M, dtype=np.float64)
-    H, W = target_hw
-    if x.ndim != 4 or x.shape[3] != 3:
-        raise ValueError(f"expected (H', W', S, 3) video, got {x.shape}")
-    Hp, Wp, S, _ = x.shape
-    if Hp > H or Wp > W:
-        raise ValueError(f"input ({Hp},{Wp}) exceeds target ({H},{W})")
-    if M.shape != (H, W, S, 1):
-        raise ValueError(f"mask shape {M.shape} != {(H, W, S, 1)}")
-    if not np.isin(M, (0.0, 1.0)).all():
-        raise ValueError("pixel mask must be binary")
-
-    out = np.full((H, W, S, 3), fill, dtype=np.float64)
-    for s in range(S):
-        ms = M[:, :, s, 0]
-        rows = np.flatnonzero(ms.any(axis=1))
-        if rows.size == 0:
-            continue
-        cols = np.flatnonzero(ms.any(axis=0))
-        r0, r1 = rows[0], rows[-1] + 1
-        c0, c1 = cols[0], cols[-1] + 1
-        if (r1 - r0, c1 - c0) != (Hp, Wp) or not ms[r0:r1, c0:c1].all() or ms.sum() != Hp * Wp:
-            raise ValueError(f"frame {s}: mask ones are not a ({Hp},{Wp}) rectangle")
-        out[r0:r1, c0:c1, s] = x[:, :, s]
-    return out
-
-
 def blend_given_region(generated: np.ndarray, original: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Copy original pixels wherever the mask is 1, bit-exactly."""
     if generated.shape != original.shape:

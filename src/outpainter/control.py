@@ -19,21 +19,16 @@ def _patch_indices(h: int, w: int, s: int, c: int) -> np.ndarray:
     element order (dy, dx, channel).
     """
     hp, wp = h + 2, w + 2
-    sites = []
-    for f in range(s):
-        for i in range(h):
-            for j in range(w):
-                sites.append((i, j, f))
-    sites = np.array(sites)  # (L, 3)
+    ff, ii, jj = (a.reshape(-1, 1) for a in np.meshgrid(
+        np.arange(s), np.arange(h), np.arange(w), indexing="ij"))  # (L, 1) each
     dy, dx = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
     dy, dx = dy.ravel(), dx.ravel()  # 9 offsets
     ch = np.arange(c)
     # flat index into (hp, wp, s, c)
-    ii = sites[:, 0:1] + dy[None, :]  # (L, 9)
-    jj = sites[:, 1:2] + dx[None, :]
-    ff = sites[:, 2:3]
+    ii = ii + dy[None, :]  # (L, 9)
+    jj = jj + dx[None, :]
     flat = ((ii * wp + jj) * s + ff)[:, :, None] * c + ch[None, None, :]
-    return flat.reshape(len(sites), 9 * c)
+    return flat.reshape(h * w * s, 9 * c)
 
 
 class Conv3x3(Module):
@@ -78,15 +73,6 @@ class ControlBranch(Module):
         tok = x.transpose((2, 0, 1, 3)).reshape((h * w * s, c))
         return self.proj(tok)
 
-    def extract_advanced(self, z_masked: np.ndarray, m: np.ndarray, k: int) -> Tensor:
-        """Same computation; enforces that the K condition frames are fully
-        given (the iterative long-video scheme constructs them that way)."""
-        if k < 0 or k > m.shape[2]:
-            raise ValueError(f"condition frame count {k} outside [0, {m.shape[2]}]")
-        if k and not (m[:, :, :k] == 1.0).all():
-            raise ValueError(f"first {k} frames must carry all-ones masks")
-        return self.extract(z_masked, m)
-
 
 def feature_stats(features: Tensor, flow_gradient: bool = False):
     """Per-channel mean/std of a token sequence, as plain arrays by default.
@@ -120,10 +106,3 @@ def align(features: Tensor, mu_m, sigma_m, eps_std: float = 1e-6) -> Tensor:
     # sqrt stays differentiable when a channel is constant
     std = var.clamp(lo=eps_std * eps_std) ** 0.5
     return d / std * sigma_m + mu_m
-
-
-def inject(block1_out: Tensor, aligned: Tensor) -> Tensor:
-    """Elementwise sum; the sole condition entry point."""
-    if block1_out.shape != aligned.shape:
-        raise ValueError(f"shape mismatch {block1_out.shape} vs {aligned.shape}")
-    return block1_out + aligned

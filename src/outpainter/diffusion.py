@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .tensor import no_grad
 
 
@@ -32,9 +33,6 @@ class SamplerConfig:
     steps: int = 100
     cfg_scale: float = 3.0
     seed: int = 0
-    # whether the unconditional guidance branch also blanks the structural
-    # conditions (masked latents and mask); text is always nulled
-    drop_structural_uncond: bool = False
 
     def __post_init__(self):
         if self.steps < 1:
@@ -93,16 +91,12 @@ def sample(model, z_masked: np.ndarray, m: np.ndarray, text_embed, config: Sampl
     with the matching variance; after the smallest processed timestep the
     clean estimate is returned directly instead of taking a final
     stochastic step. Output is a pure function of (weights, inputs, seed).
+    A non-finite result raises NumericalError.
     """
     rng = np.random.default_rng(config.seed)
     z = rng.standard_normal(z_masked.shape)
     ts = strided_timesteps(sched.T, config.steps)
     s = config.cfg_scale
-
-    if config.drop_structural_uncond:
-        zm_u, m_u = np.zeros_like(z_masked), np.zeros_like(m)
-    else:
-        zm_u, m_u = z_masked, m
 
     with no_grad():
         for i, t in enumerate(ts):
@@ -113,11 +107,14 @@ def sample(model, z_masked: np.ndarray, m: np.ndarray, text_embed, config: Sampl
             if s == 1.0:
                 eps_hat = eps_c
             else:
-                eps_u = np.asarray(model.predict_eps(z, t, zm_u, m_u, None))
+                eps_u = np.asarray(model.predict_eps(z, t, z_masked, m, None))
                 eps_hat = eps_u + s * (eps_c - eps_u)
 
             if i == len(ts) - 1:
-                return predict_z0(z, t, eps_hat, sched)
+                z0 = predict_z0(z, t, eps_hat, sched)
+                if not np.isfinite(z0).all():
+                    raise NumericalError(f"sampled latent is non-finite (seed {config.seed})")
+                return z0
 
             ab_t = sched.alpha_bar_at(t)
             ab_prev = sched.alpha_bar_at(int(ts[i + 1]))

@@ -6,10 +6,16 @@ manifest.txt of the form `frames=<n> width=<w> height=<h>`. Pixels are
 """
 
 import os
+import re
 
 import numpy as np
 
 MANIFEST = "manifest.txt"
+# netpbm header: magic, then width, height and maxval, each after whitespace
+# that may hold '#' comments running to the end of a line; exactly one
+# whitespace byte separates maxval from the pixels
+_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_P6_HEADER = re.compile(rb"P6" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)\s")
 
 
 def frame_name(i: int) -> str:
@@ -31,24 +37,15 @@ def save_ppm(path: str, frame: np.ndarray) -> None:
 def load_ppm(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         data = f.read()
-    # header: magic, dims line, maxval line, single separator bytes
-    try:
-        magic_end = data.index(b"\n")
-        dims_end = data.index(b"\n", magic_end + 1)
-        max_end = data.index(b"\n", dims_end + 1)
-    except ValueError:
-        raise ValueError(f"{path}: truncated P6 header") from None
-    if data[:magic_end] != b"P6":
+    if not data.startswith(b"P6"):
         raise ValueError(f"{path}: not a binary P6 file")
-    try:
-        w_s, h_s = data[magic_end + 1:dims_end].split()
-        W, H = int(w_s), int(h_s)
-        maxval = int(data[dims_end + 1:max_end])
-    except ValueError:
-        raise ValueError(f"{path}: malformed P6 dimensions") from None
+    header = _P6_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"{path}: truncated or malformed P6 header")
+    W, H, maxval = (int(v) for v in header.groups())
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
-    body = data[max_end + 1:]
+    body = data[header.end():]
     if len(body) != W * H * 3:
         raise ValueError(f"{path}: expected {W * H * 3} pixel bytes, found {len(body)}")
     return np.frombuffer(body, dtype=np.uint8).reshape(H, W, 3).copy()

@@ -156,8 +156,7 @@ def quantize_u8(x: np.ndarray) -> np.ndarray:
     return np.clip(round_half_away(np.asarray(x, dtype=np.float64)), 0, 255).astype(np.int64)
 
 
-def refine_clip(clip: np.ndarray, template: np.ndarray, K: int,
-                do_mv: bool = True, do_hist: bool = True) -> np.ndarray:
+def refine_clip(clip: np.ndarray, template: np.ndarray, K: int) -> np.ndarray:
     """Match a clip's colors to the previous clip via the K-frame overlap.
 
     clip and template hold 8-bit integer values; the source statistics come
@@ -171,11 +170,8 @@ def refine_clip(clip: np.ndarray, template: np.ndarray, K: int,
         raise ValueError(f"template has {template.shape[2]} frames, expected {K}")
     work = _check_u8_values("clip", clip)
     tmpl = _check_u8_values("template", template)
-    if do_mv:
-        work = quantize_u8(mean_variance_alignment(work[:, :, :K], tmpl, work))
-    if do_hist:
-        work = histogram_matching(work[:, :, :K], tmpl, work)
-    return work
+    work = quantize_u8(mean_variance_alignment(work[:, :, :K], tmpl, work))
+    return histogram_matching(work[:, :, :K], tmpl, work)
 
 
 def assemble(clips: list, plan: ClipPlan) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .codec import PATCH, blend_given_region, decode, downsample_mask, encode
 from .diffusion import Schedule, SamplerConfig, make_schedule, sample
-from .longvideo import build_condition, plan_clips, refine_clip
+from .longvideo import assemble, build_condition, plan_clips, refine_clip
 from .util import from_u8, round_half_away, to_u8
 
 
@@ -94,12 +94,12 @@ def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: in
                   config: SamplerConfig | None = None,
                   sched: Schedule | None = None,
                   refine: bool = True) -> np.ndarray:
-    """Outpaint a long video clip by clip over a shared canvas.
+    """Outpaint a long video clip by clip, stitched with `assemble`.
 
     Each clip after the first takes its first K frames verbatim from the
-    canvas (all-ones masks), is sampled with seed offset by the clip
-    index, is statistically matched to the canvas overlap, and then has
-    the given pixels restored. Overlapping frames keep the earliest
+    clips already generated (all-ones masks), is sampled with seed offset
+    by the clip index, is statistically matched to that overlap, and then
+    has the given pixels restored. Overlapping frames keep the earliest
     clip's pixels. Returns a uint8 video of the full length.
     """
     config = config if config is not None else SamplerConfig()
@@ -107,12 +107,10 @@ def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: in
     if video_u8.dtype != np.uint8:
         raise ValueError(f"long-video input must be uint8, got {video_u8.dtype}")
     _check_video(video_u8, M)
-    H, W, S_l, _ = video_u8.shape
-    plan = plan_clips(S_l, S_clip, K)
+    plan = plan_clips(video_u8.shape[2], S_clip, K)
     video = from_u8(video_u8)
     source_u8 = video_u8.astype(np.int64)
-    canvas = np.zeros((H, W, S_l, 3), dtype=np.int64)
-    written = np.zeros(S_l, dtype=bool)
+    outs = []
 
     for i, (a, b) in enumerate(plan.ranges):
         clip_mask = M[:, :, a:b]
@@ -120,19 +118,15 @@ def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: in
         if i == 0:
             cond, cond_mask = x_masked, clip_mask
         else:
-            prev = from_u8(canvas[:, :, a:a + K].astype(np.uint8))
+            overlap = assemble(outs, replace(plan, ranges=plan.ranges[:i]))[:, :, a:a + K]
+            prev = from_u8(overlap.astype(np.uint8))
             cond, cond_mask = build_condition(prev, x_masked, clip_mask, K)
         cfg_i = replace(config, seed=config.seed + i)
         z0 = sample(model, encode(cond), downsample_mask(cond_mask),
                     model.text_vector(), cfg_i, sched)
         out = to_u8(decode(z0)).astype(np.int64)
         if i > 0 and refine:
-            out = refine_clip(out, canvas[:, :, a:a + K], K)
-        out = np.where(clip_mask == 1.0, source_u8[:, :, a:b], out)
-        fresh = ~written[a:b]
-        canvas[:, :, a:b][:, :, fresh] = out[:, :, fresh]
-        written[a:b] = True
+            out = refine_clip(out, overlap, K)
+        outs.append(np.where(clip_mask == 1.0, source_u8[:, :, a:b], out))
 
-    if not written.all():
-        raise AssertionError("clip plan left frames unwritten")
-    return canvas.astype(np.uint8)
+    return assemble(outs, plan).astype(np.uint8)

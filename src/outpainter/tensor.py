@@ -70,15 +70,14 @@ class Tensor:
     # keep numpy from consuming us in mixed expressions; reflected ops win
     __array_ufunc__ = None
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_bw", "name")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_bw")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._bw = None
-        self.name = name
 
     # ---- introspection -------------------------------------------------
     @property
@@ -98,12 +97,7 @@ class Tensor:
 
     def __repr__(self) -> str:
         req = ", requires_grad=True" if self.requires_grad else ""
-        nm = f", name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{req}{nm})"
-
-    def detach(self) -> "Tensor":
-        """Copy of the values with no tape participation."""
-        return Tensor(self.data.copy())
+        return f"Tensor(shape={self.data.shape}{req})"
 
     # ---- graph core ------------------------------------------------------
     def backward(self) -> None:
@@ -230,22 +224,12 @@ class Tensor:
             out._bw = lambda g: (g * (1.0 - y * y),)
         return out
 
-    def exp(self):
-        out = _node(np.exp(self.data), (self,))
-        if out._parents:
-            y = out.data
-            out._bw = lambda g: (g * y,)
-        return out
-
     def abs(self):
         out = _node(np.abs(self.data), (self,))
         if out._parents:
             s = np.sign(self.data)
             out._bw = lambda g: (g * s,)
         return out
-
-    def sqrt(self):
-        return self ** 0.5
 
     def clamp(self, lo: float | None = None, hi: float | None = None):
         """Clip values to [lo, hi]; gradient is identity inside the bounds
@@ -360,21 +344,6 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
-    return out
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    """Concatenate along an existing axis."""
-    tensors = [_coerce(t) for t in tensors]
-    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out._parents:
-        sizes = [t.data.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
-
-        def bw(g):
-            return tuple(np.split(g, splits, axis=axis))
-
-        out._bw = bw
     return out
 
 

@@ -1,4 +1,4 @@
-"""Losses, masking policy, synthetic data, and the optimization loop.
+"""Losses, training masks, synthetic videos, and the optimization loop.
 
 The objective is the noise-prediction MSE plus, for late denoising steps
 only (small t), a weighted per-frame statistics alignment term computed on
@@ -6,14 +6,15 @@ the clean-latent estimate. The gate is sharp: at or above the threshold
 timestep the total is bit-identical to the MSE alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import downsample_mask, encode, make_masked_video
+from .codec import PATCH, downsample_mask, encode
 from .diffusion import Schedule, make_schedule, predict_z0, q_sample
 from .errors import NumericalError
 from .model import OutpaintingModel
+from .pipeline import masked_input
 from .tensor import Tensor, reduce_stats
 from .util import round_half_away
 
@@ -118,13 +119,6 @@ def synth_video(rng: np.random.Generator, H: int, W: int, S: int,
     return video
 
 
-def synth_dataset(n: int, shape: tuple, rng: np.random.Generator):
-    """Yield n procedurally generated videos of (H, W, S)."""
-    H, W, S = shape
-    for _ in range(n):
-        yield synth_video(rng, H, W, S)
-
-
 class SGD:
     """Gradient descent with classical momentum; consumes and clears .grad."""
 
@@ -143,18 +137,13 @@ class SGD:
             p.data -= self.lr * v
             p.grad = None
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
 
 def training_losses(model: OutpaintingModel, sample: TrainSample, loss_cfg: LossConfig,
-                    sched: Schedule, patch: int = 4):
+                    sched: Schedule):
     """Forward pass and the (total, mse, latent) loss tensors for one sample."""
-    z0 = encode(sample.video, patch)
-    x_masked = np.where(sample.mask == 1.0, sample.video, 0.5)
-    z_masked = encode(x_masked, patch)
-    m = downsample_mask(sample.mask, patch)
+    z0 = encode(sample.video)
+    z_masked = encode(masked_input(sample.video, sample.mask))
+    m = downsample_mask(sample.mask)
     z_t = q_sample(z0, sample.t, sample.eps, sched)
 
     text = None if sample.drop_text else model.text_vector()
@@ -168,9 +157,9 @@ def training_losses(model: OutpaintingModel, sample: TrainSample, loss_cfg: Loss
 
 
 def train_step(model: OutpaintingModel, sample: TrainSample, loss_cfg: LossConfig,
-               opt: SGD, sched: Schedule, patch: int = 4) -> dict:
+               opt: SGD, sched: Schedule) -> dict:
     """One optimization step; aborts on non-finite losses."""
-    total, l_eps, l_latent = training_losses(model, sample, loss_cfg, sched, patch)
+    total, l_eps, l_latent = training_losses(model, sample, loss_cfg, sched)
     for name, val in (("total_loss", total), ("diffusion_loss", l_eps),
                       ("latent_alignment_loss", l_latent)):
         if val is not None and not np.isfinite(val.data).all():
@@ -201,7 +190,6 @@ class TrainConfig:
     text_drop: float = 0.1
     momentum: float = 0.9
     restricted: bool = False
-    log_lines: list = field(default_factory=list)
 
 
 def parse_train_config(text: str) -> TrainConfig:
@@ -253,7 +241,7 @@ def train(model: OutpaintingModel, cfg: TrainConfig, sched: Schedule | None = No
             video = videos[step % len(videos)]
         mask = sample_training_mask(H, W, S, rng)
         t = int(rng.integers(1, sched.T + 1))
-        eps = rng.standard_normal((H // 4, W // 4, S, 48))
+        eps = rng.standard_normal((H // PATCH, W // PATCH, S, 3 * PATCH * PATCH))
         drop = rng.random() < cfg.text_drop
         losses = train_step(model, TrainSample(video, mask, t, eps, drop), loss_cfg, opt, sched)
         losses["step"] = step

@@ -11,7 +11,6 @@ from outpainter.backbone import (
     MaskScaler,
     mask_multipliers,
     position_encoding,
-    token_position,
     tokenize,
     untokenize,
 )
@@ -42,12 +41,12 @@ def test_token_count_and_order():
     # frame-major, row-major, column fastest: token i <-> (r, c, f)
     h, w, s = 2, 2, 2
     for i in range(8):
-        r, c, f = token_position(i, (h, w, s))
+        f, rest = divmod(i, h * w)
+        r, c = divmod(rest, w)
         np.testing.assert_array_equal(tok[i], z[r, c, f])
-    assert token_position(0, (h, w, s)) == (0, 0, 0)
-    assert token_position(1, (h, w, s)) == (0, 1, 0)
-    assert token_position(2, (h, w, s)) == (1, 0, 0)
-    assert token_position(4, (h, w, s)) == (0, 0, 1)
+    np.testing.assert_array_equal(tok[1], z[0, 1, 0])
+    np.testing.assert_array_equal(tok[2], z[1, 0, 0])
+    np.testing.assert_array_equal(tok[4], z[0, 0, 1])
 
 
 def test_tokenize_untokenize_bijection():

@@ -113,3 +113,24 @@ def test_wrong_shape_rejected(tmp_path):
     save_arrays(str(path), arrays)
     with pytest.raises(ValueError):
         load_model(str(path))
+
+
+def write_manifest(path, lines, data: bytes):
+    """A checkpoint written by hand: header, manifest lines, data section."""
+    manifest = ("\n".join(lines) + "\n").encode("ascii")
+    path.write_bytes(f"{len(manifest)}\n".encode("ascii") + manifest + data)
+
+
+def test_bad_manifest_rejected(tmp_path):
+    path = tmp_path / "ck.bin"
+    data = np.arange(4.0).astype("<f8").tobytes()
+    write_manifest(path, ["a 2 0", "b 2 16"], data)
+    loaded = load_arrays(str(path))
+    np.testing.assert_array_equal(loaded["b"], [2.0, 3.0])
+    # offset -24 would slice b's bytes out of the data section's tail
+    write_manifest(path, ["a 2 -24", "b 2 16"], data)
+    with pytest.raises(ValueError, match="negative offset"):
+        load_arrays(str(path))
+    write_manifest(path, ["a 2 0", "a 2 16"], data)
+    with pytest.raises(ValueError, match="duplicate array name"):
+        load_arrays(str(path))

@@ -153,6 +153,38 @@ def test_exit_code_data_errors(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_exit_code_bad_checkpoint_manifest(tmp_path, capsys):
+    model = tmp_path / "m.bin"
+    write_tiny_model(model)
+    blob = model.read_bytes()
+    head, rest = blob.split(b"\n", 1)
+    manifest = rest[:int(head)].replace(b" 0\n", b" -8\n", 1)
+    model.write_bytes(head + b"\n" + manifest + rest[int(head):])
+    seq = tmp_path / "seq"
+    entry(["synth", "--out", str(seq), "--shape", "8x8x2", "--seed", "0"])
+    assert entry(["outpaint", "--model", str(model), "--input", str(seq),
+                  "--out", str(tmp_path / "o"), "--mask-ratio", "0.5", "--steps", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "negative offset" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_exit_code_non_finite_weights(tmp_path, capsys):
+    net = OutpaintingModel(BackboneConfig(n_blocks=2, d_model=16, n_heads=2), seed=0,
+                           control_hidden=8)
+    net.backbone.head.W.data[:] = np.nan
+    model = tmp_path / "m.bin"
+    save_model(str(model), net)
+    seq, out = tmp_path / "seq", tmp_path / "o"
+    entry(["synth", "--out", str(seq), "--shape", "8x8x2", "--seed", "7"])
+    assert entry(["outpaint", "--model", str(model), "--input", str(seq),
+                  "--out", str(out), "--mask-ratio", "0.25", "--steps", "5"]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_exit_code_numerical_failure(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("shape=8x8x2\nsteps=6\nlr=1e12\n"

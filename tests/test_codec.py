@@ -13,7 +13,6 @@ from outpainter.codec import (
     decode,
     downsample_mask,
     encode,
-    make_masked_video,
 )
 
 
@@ -115,47 +114,6 @@ def test_downsample_mask_commutes_with_frame_permutation():
     np.testing.assert_array_equal(
         downsample_mask(M[:, :, perm], p=4), downsample_mask(M, p=4)[:, :, perm]
     )
-
-
-def test_make_masked_video_full_mask_is_identity():
-    rng = np.random.default_rng(4)
-    x = rand_video(rng, 6, 10, 2)
-    M = np.ones((6, 10, 2, 1))
-    np.testing.assert_array_equal(make_masked_video(x, (6, 10), M), x)
-
-
-def test_make_masked_video_zero_mask_is_fill():
-    x = np.zeros((0, 0, 2, 3))
-    M = np.zeros((6, 10, 2, 1))
-    np.testing.assert_array_equal(make_masked_video(x, (6, 10), M), np.full((6, 10, 2, 3), 0.5))
-
-
-def test_make_masked_video_column_band():
-    rng = np.random.default_rng(5)
-    x = rand_video(rng, 6, 4, 2)
-    M = np.zeros((6, 10, 2, 1))
-    M[:, 3:7] = 1.0
-    out = make_masked_video(x, (6, 10), M)
-    np.testing.assert_array_equal(out[:, 3:7], x)
-    np.testing.assert_array_equal(out[:, :3], 0.5)
-    np.testing.assert_array_equal(out[:, 7:], 0.5)
-    # idempotent on the given region
-    np.testing.assert_array_equal(make_masked_video(out[:, 3:7], (6, 10), M), out)
-
-
-def test_make_masked_video_errors():
-    x = np.zeros((6, 4, 1, 3))
-    with pytest.raises(ValueError):
-        make_masked_video(x, (4, 10), np.ones((4, 10, 1, 1)))  # H' > H
-    M = np.zeros((6, 10, 1, 1))
-    M[:, 3:7] = 1.0
-    M[0, 3] = 0.0  # hole: ones no longer a rectangle
-    with pytest.raises(ValueError):
-        make_masked_video(x, (6, 10), M)
-    Mw = np.zeros((6, 10, 1, 1))
-    Mw[:, 3:6] = 1.0  # wrong width for x
-    with pytest.raises(ValueError):
-        make_masked_video(x, (6, 10), Mw)
 
 
 def test_blend_given_region_bit_exact():

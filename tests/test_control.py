@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from outpainter.backbone import BackboneConfig, tokenize
-from outpainter.control import ControlBranch, align, feature_stats, inject
+from outpainter.control import ControlBranch, _patch_indices, align, feature_stats
 from outpainter.model import OutpaintingModel
 from outpainter.tensor import Tensor, no_grad
 
@@ -57,34 +57,19 @@ def test_extract_translation_covariance_interior():
     np.testing.assert_allclose(b[3:-3, 4:-3], np.roll(a, 1, axis=1)[3:-3, 4:-3], atol=1e-12)
 
 
+def test_patch_indices_match_loop_reference():
+    # token order frame, row, col; patch element order dy, dx, channel
+    for h, w, s, c in ((4, 4, 8, 49), (4, 4, 29, 16), (2, 3, 1, 5)):
+        want = [[np.ravel_multi_index((i + dy, j + dx, f, ch), (h + 2, w + 2, s, c))
+                 for dy in range(3) for dx in range(3) for ch in range(c)]
+                for f in range(s) for i in range(h) for j in range(w)]
+        np.testing.assert_array_equal(_patch_indices(h, w, s, c), want)
+
+
 def test_extract_shape_mismatch():
     cb = make_branch()
     with pytest.raises(ValueError):
         cb.extract(np.zeros((3, 4, 2, 48)), np.zeros((3, 4, 1, 1)))
-
-
-def test_extract_advanced_validates_condition_frames():
-    cb = make_branch()
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal((2, 2, 5, 48))
-    m = np.zeros((2, 2, 5, 1))
-    m[:, :, :3] = 1.0
-    with no_grad():
-        ok = cb.extract_advanced(z, m, 3).data
-        same = cb.extract(z, m).data
-    np.testing.assert_array_equal(ok, same)
-
-    with pytest.raises(ValueError):
-        bad = m.copy()
-        bad[0, 0, 1, 0] = 0.0
-        cb.extract_advanced(z, bad, 3)
-    with pytest.raises(ValueError):
-        cb.extract_advanced(z, m, 6)
-
-    # K=0 never validates anything
-    with no_grad():
-        np.testing.assert_array_equal(cb.extract_advanced(z, np.zeros_like(m), 0).data,
-                                      cb.extract(z, np.zeros_like(m)).data)
 
 
 def test_align_hits_target_stats():
@@ -148,16 +133,26 @@ def test_feature_stats_blocks_gradient_by_default():
 
 
 def test_inject_is_sum_and_validates():
+    # conditions enter the backbone once, as a sum onto the block-1 output
+    from outpainter.backbone import Backbone, mask_multipliers, untokenize
+    from outpainter.nn import layer_norm
+
+    cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2, gamma=0.5)
     rng = np.random.default_rng(9)
-    a, b = rng.standard_normal((8, 4)), rng.standard_normal((8, 4))
-    out = inject(Tensor(a), Tensor(b)).data
-    np.testing.assert_array_equal(out, a + b)
-    np.testing.assert_array_equal(inject(Tensor(a), Tensor(np.zeros((8, 4)))).data, a)
+    bb = Backbone(cfg, rng)
+    z = rng.standard_normal((2, 2, 2, 48))
+    m_tok = Tensor(rng.uniform(0, 1, size=(8, 1)))
+    b = rng.standard_normal((8, 16))
+    with no_grad():
+        got = bb.forward(z, 20, b, m_tok, None).data
+        cond = bb.condition_vector(20, None)
+        mults = [mask_multipliers(blk.scaler, m_tok, cfg.gamma) for blk in bb.blocks]
+        x = bb.blocks[0](bb.patchify(z), cond, mults[0]) + Tensor(b)
+        x = bb.blocks[1](x, cond, mults[1])
+        ref = untokenize(bb.head(layer_norm(x)), (2, 2, 2)).data
+    np.testing.assert_array_equal(got, ref)
     with pytest.raises(ValueError):
-        inject(Tensor(a), Tensor(np.zeros((7, 4))))
-    # permutation commutes
-    perm = rng.permutation(8)
-    np.testing.assert_array_equal(inject(Tensor(a[perm]), Tensor(b[perm])).data, (a + b)[perm])
+        bb.forward(z, 20, np.zeros((7, 16)), m_tok, None)
 
 
 def test_gradient_reaches_conv_weights_through_injection():
@@ -199,6 +194,5 @@ def test_model_matches_manual_composition():
         x1 = bb.blocks[0](bb.patchify(z_t), cond, mults[0])
         mu, sigma = feature_stats(x1)
         feat = align(model.control.extract(z_masked, m), mu, sigma)
-        ref = bb.forward(z_t, 50, inject(Tensor(np.zeros_like(x1.data)), feat).data,
-                         m_tok, None).data
+        ref = bb.forward(z_t, 50, feat.data, m_tok, None).data
     np.testing.assert_allclose(got, ref, atol=1e-12)

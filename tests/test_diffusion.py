@@ -11,6 +11,7 @@ from outpainter.diffusion import (
     sample,
     strided_timesteps,
 )
+from outpainter.errors import NumericalError
 from outpainter.tensor import Tensor
 
 
@@ -229,3 +230,13 @@ def test_sampler_config_validation():
         SamplerConfig(steps=0)
     with pytest.raises(ValueError):
         SamplerConfig(cfg_scale=-0.5)
+
+
+def test_sampler_non_finite_result_raises():
+    # a poisoned unconditional branch reaches the result once guidance uses it
+    sched = make_schedule(T=20)
+    z0 = np.random.default_rng(11).standard_normal((2, 2, 1, 4))
+    with pytest.raises(NumericalError):
+        sample(_BranchModel(z0, sched, poison=True), np.zeros_like(z0),
+               np.zeros((2, 2, 1, 1)), "txt", SamplerConfig(steps=5, cfg_scale=3.0, seed=0),
+               sched)

@@ -76,6 +76,30 @@ def test_wrong_maxval_rejected(tmp_path):
         load_ppm(str(path))
 
 
+def test_netpbm_header_with_comments_and_tabs_loads(tmp_path):
+    img = np.random.default_rng(2).integers(0, 256, (2, 3, 3), dtype=np.uint8)
+    path = tmp_path / "f.ppm"
+    for header in (b"P6\n# made by hand\n3 2\n255\n",
+                   b"P6 3\t 2 # width, height\n\n255\t",
+                   b"P6\r\n3\r\n#\r\n  2\n# maxval next\n255\r"):
+        # pixel bytes that look like whitespace or '#' belong to the body
+        body = img.copy()
+        body[0, 0] = (ord(" "), ord("#"), ord("\n"))
+        path.write_bytes(header + body.tobytes())
+        np.testing.assert_array_equal(load_ppm(str(path)), body)
+
+
+def test_truncated_or_malformed_header_rejected(tmp_path):
+    path = tmp_path / "f.ppm"
+    full = b"P6\n# c\n2 2\n255\n" + bytes(12)
+    for blob in (full[:3], full[:9], full[:13], full[:15], full[:-1],
+                 b"P6\n2 2 # no newline ends this comment",
+                 b"P62 2\n255\n" + bytes(12), b"P6\n2 x\n255\n" + bytes(12)):
+        path.write_bytes(blob)
+        with pytest.raises(ValueError):
+            load_ppm(str(path))
+
+
 def test_short_payload_rejected(tmp_path):
     path = tmp_path / "f.ppm"
     path.write_bytes(b"P6\n2 2\n255\n" + bytes(5))

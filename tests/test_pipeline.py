@@ -196,7 +196,7 @@ class SpyModel:
 
 def test_outpaint_long_overlap_conditioning():
     """The second clip's first K frames arrive fully given: all-ones latent
-    masks and latents encoding the already-written canvas frames."""
+    masks and latents encoding the returned video's overlap frames."""
     model = tiny_model()
     spy = SpyModel(model)
     video_u8, M = make_long_inputs()
@@ -205,13 +205,33 @@ def test_outpaint_long_overlap_conditioning():
     out = outpaint_long(spy, video_u8, M, S_clip=4, K=2, config=cfg, sched=SCHED)
     # clips: [0,4) then [2,6); each samples `steps` times at cfg_scale 1
     assert len(spy.calls) == 2 * steps
-    prev_frames = from_u8(out[:, :, 2:4])  # canvas content at the overlap
+    prev_frames = from_u8(out[:, :, 2:4])  # first clip's output at the overlap
     want_latents = encode(prev_frames)
     for z_masked, m in spy.calls[steps:]:
         assert (m[:, :, :2] == 1.0).all()
         np.testing.assert_array_equal(z_masked[:, :, :2], want_latents)
         # beyond the overlap the original outpainting mask survives
         np.testing.assert_array_equal(m[:, :, 2:], downsample_mask(M[:, :, 4:6]))
+
+
+def test_outpaint_long_overlap_spans_earlier_clips():
+    """Plan (7, 4, 3) gives clips [0,4) [1,5) [2,6) [3,7): the last clip's
+    overlap frames 3, 4, 5 were first generated by three different clips.
+    Every clip's condition latents encode the returned video's frames
+    a..a+K, which keep the earliest clip's pixels."""
+    model = tiny_model()
+    spy = SpyModel(model)
+    video_u8, M = make_long_inputs(S_l=7)
+    steps, K = 2, 3
+    cfg = SamplerConfig(steps=steps, cfg_scale=1.0, seed=3)
+    out = outpaint_long(spy, video_u8, M, S_clip=4, K=K, config=cfg, sched=SCHED)
+    assert len(spy.calls) == 4 * steps
+    for i, a in enumerate((1, 2, 3), start=1):
+        want_latents = encode(from_u8(out[:, :, a:a + K]))
+        for z_masked, m in spy.calls[i * steps:(i + 1) * steps]:
+            assert (m[:, :, :K] == 1.0).all()
+            np.testing.assert_array_equal(z_masked[:, :, :K], want_latents)
+            np.testing.assert_array_equal(m[:, :, K:], downsample_mask(M[:, :, a + K:a + 4]))
 
 
 def test_outpaint_long_rejects_float_input():
