@@ -105,8 +105,7 @@ class Attention(Module):
             return y.reshape((L, self.n_heads, self.d_head)).transpose((1, 0, 2))
 
         q, k, v = heads(q), heads(k), heads(v)
-        logits = (q @ k.transpose((0, 2, 1))) * (1.0 / np.sqrt(self.d_head))
-        attn = logits.softmax(axis=-1)
+        attn = (q @ k.transpose((0, 2, 1))).softmax(axis=-1, scale=1.0 / np.sqrt(self.d_head))
         out = (attn @ v).transpose((1, 0, 2)).reshape((L, d))
         return self.wo(out)
 

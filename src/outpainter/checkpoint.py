@@ -3,7 +3,9 @@
 Layout: ASCII decimal byte length of the manifest plus newline, the
 manifest itself (one `name shape offset` line per array, shape as
 comma-joined dims or `-` for scalars, offset into the data section),
-then the raw little-endian float64 blobs back to back.
+then the raw little-endian float64 blobs back to back. Loading requires
+exactly that: each offset is the previous array's end, and the last
+array ends where the file does.
 
 Checkpoints are self-describing: model files carry `meta/...` scalar
 entries holding the architecture so loading needs no side channel.
@@ -55,6 +57,7 @@ def load_arrays(path: str) -> dict:
         manifest = f.read(manifest_len).decode("ascii")
         data = f.read()
     out = {}
+    end = 0  # the arrays must tile the data section in manifest order
     for line in manifest.splitlines():
         if not line.strip():
             continue
@@ -62,10 +65,13 @@ def load_arrays(path: str) -> dict:
             name, shape_s, offset_s = line.rsplit(" ", 2)
             shape = () if shape_s == "-" else tuple(int(d) for d in shape_s.split(","))
             offset = int(offset_s)
+            if any(d < 0 for d in shape):
+                raise ValueError
         except ValueError:
             raise ValueError(f"{path}: malformed manifest line {line!r}") from None
-        if offset < 0:
-            raise ValueError(f"{path}: array {name!r} has negative offset {offset}")
+        if offset != end:
+            raise ValueError(f"{path}: array {name!r} at offset {offset}, expected {end} "
+                             "(arrays must be stored back to back)")
         if name in out:
             raise ValueError(f"{path}: duplicate array name {name!r}")
         count = int(np.prod(shape)) if shape else 1
@@ -73,6 +79,8 @@ def load_arrays(path: str) -> dict:
         if end > len(data):
             raise ValueError(f"{path}: array {name!r} overruns the data section")
         out[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
+    if end != len(data):
+        raise ValueError(f"{path}: {len(data) - end} data bytes after the last array")
     return out
 
 

@@ -6,17 +6,21 @@ The conv stack is spatial-only and per-frame; temporal structure reaches
 the denoiser through the token layout, not through this branch.
 """
 
+import functools
+
 import numpy as np
 
 from .nn import Linear, Module, Tensor, param
 
 
+@functools.lru_cache(maxsize=32)
 def _patch_indices(h: int, w: int, s: int, c: int) -> np.ndarray:
     """Flat gather indices for 3x3 same-padding patches per frame.
 
     Input is zero-padded to (h+2, w+2, s, c); row i of the result lists
     the 9*c source elements of token i (frame-major site order), patch
-    element order (dy, dx, channel).
+    element order (dy, dx, channel). Cached by shape, so the array is
+    shared between callers and read-only.
     """
     hp, wp = h + 2, w + 2
     ff, ii, jj = (a.reshape(-1, 1) for a in np.meshgrid(
@@ -28,7 +32,9 @@ def _patch_indices(h: int, w: int, s: int, c: int) -> np.ndarray:
     ii = ii + dy[None, :]  # (L, 9)
     jj = jj + dx[None, :]
     flat = ((ii * wp + jj) * s + ff)[:, :, None] * c + ch[None, None, :]
-    return flat.reshape(h * w * s, 9 * c)
+    flat = flat.reshape(h * w * s, 9 * c)
+    flat.flags.writeable = False
+    return flat
 
 
 class Conv3x3(Module):

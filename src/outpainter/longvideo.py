@@ -174,20 +174,29 @@ def refine_clip(clip: np.ndarray, template: np.ndarray, K: int) -> np.ndarray:
     return histogram_matching(work[:, :, :K], tmpl, work)
 
 
-def assemble(clips: list, plan: ClipPlan) -> np.ndarray:
+def assemble(clips: list, plan: ClipPlan, window: tuple[int, int] | None = None) -> np.ndarray:
     """Stitch clips onto the S_l timeline; earlier clips win on overlaps
-    (a later clip's overlap frames are conditioned copies)."""
+    (a later clip's overlap frames are conditioned copies).
+
+    With `window=(start, end)` only frames [start, end) of the timeline
+    are built and returned, each taken from the same clip as without it.
+    """
     if len(clips) != len(plan.ranges):
         raise ValueError(f"{len(clips)} clips for {len(plan.ranges)} planned ranges")
     S_l = plan.ranges[-1][1]
+    lo, hi = (0, S_l) if window is None else window
+    if not 0 <= lo < hi <= S_l:
+        raise ValueError(f"window [{lo},{hi}) is not inside the timeline [0,{S_l})")
     H, W, _, C = clips[0].shape
-    out = np.empty((H, W, S_l, C), dtype=np.asarray(clips[0]).dtype)
-    written = np.zeros(S_l, dtype=bool)
+    out = np.empty((H, W, hi - lo, C), dtype=np.asarray(clips[0]).dtype)
+    written = np.zeros(hi - lo, dtype=bool)
     for clip, (start, end) in zip(reversed(clips), reversed(plan.ranges)):
         if clip.shape[2] != end - start:
             raise ValueError(f"clip has {clip.shape[2]} frames for range [{start},{end})")
-        out[:, :, start:end] = clip
-        written[start:end] = True
+        a, b = max(start, lo), min(end, hi)
+        if a < b:
+            out[:, :, a - lo:b - lo] = clip[:, :, a - start:b - start]
+            written[a - lo:b - lo] = True
     if not written.all():
         raise ValueError("plan does not cover every frame")
     return out

@@ -118,7 +118,7 @@ def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: in
         if i == 0:
             cond, cond_mask = x_masked, clip_mask
         else:
-            overlap = assemble(outs, replace(plan, ranges=plan.ranges[:i]))[:, :, a:a + K]
+            overlap = assemble(outs, replace(plan, ranges=plan.ranges[:i]), (a, a + K))
             prev = from_u8(overlap.astype(np.uint8))
             cond, cond_mask = build_condition(prev, x_masked, clip_mask, K)
         cfg_i = replace(config, seed=config.seed + i)

@@ -3,13 +3,17 @@
 Substrate for every differentiable computation in this package. A Tensor
 wraps a numpy float64 array; operations on tensors that require gradients
 record their parents and a backward rule, forming an implicit tape.
-``backward()`` on a scalar replays the tape in reverse topological order.
+``backward()`` on a scalar replays the tape in reverse topological order,
+dropping each node's incoming gradient once it has been passed on, and
+stores ``.grad`` on leaves only (tensors created with requires_grad=True).
 
 Conventions:
     * every operation materializes its result, there are no views
     * broadcasting follows numpy's trailing-dimension rules; backward
       sums gradients over broadcast dimensions
-    * gradients accumulate: calling backward twice doubles ``.grad``
+    * gradients accumulate: calling backward twice doubles a leaf's ``.grad``
+    * intermediate results never get a ``.grad``; the tape itself is kept,
+      so backward can run again over the same graph
     * tensors are immutable after creation, except ``.grad`` accumulation
       and explicit parameter updates performed by an optimizer between
       backward passes
@@ -64,7 +68,9 @@ class Tensor:
     """A dense float64 array with optional gradient tracking.
 
     ``grad`` is a plain numpy array of the same shape, populated by
-    ``backward()`` and accumulated across calls until reset to None.
+    ``backward()`` on leaves only (requires_grad and no recorded op) and
+    accumulated across calls until reset to None. Results of operations
+    keep ``grad`` None.
     """
 
     # keep numpy from consuming us in mixed expressions; reflected ops win
@@ -101,10 +107,13 @@ class Tensor:
 
     # ---- graph core ------------------------------------------------------
     def backward(self) -> None:
-        """Populate ``.grad`` of every reachable requires_grad tensor.
+        """Add d(self)/d(leaf) onto ``.grad`` of every reachable leaf.
 
-        The loss must be a scalar (size 1). Contributions from this call
-        are added onto any gradient already present.
+        The loss must be a scalar (size 1). Only leaves, tensors created
+        with requires_grad=True, receive ``.grad``; intermediate gradients
+        are freed as soon as they have been passed to the parents.
+        Contributions from this call are added onto any gradient already
+        present.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
@@ -127,24 +136,25 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
 
-        # gradient flowing through this call only; persisted .grad is
-        # updated at the end so repeated backward calls accumulate cleanly
+        # gradient flowing through this call only; a node's entry is
+        # complete when reversed postorder reaches it (all its consumers
+        # come later in topo), so it is popped there and never held again
         flow: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
-            g = flow.get(id(node))
-            if g is None or node._bw is None:
+            g = flow.pop(id(node), None)
+            if g is None:
+                continue
+            if node._bw is None:
+                if node.requires_grad:
+                    if node.grad is None:
+                        node.grad = np.zeros_like(node.data)
+                    node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._bw(g)):
                 if pg is None:
                     continue
                 acc = flow.get(id(parent))
                 flow[id(parent)] = pg if acc is None else acc + pg
-
-        for node in topo:
-            if node.requires_grad and id(node) in flow:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += flow[id(node)]
 
     # ---- elementwise arithmetic -----------------------------------------
     def __add__(self, other):
@@ -297,16 +307,27 @@ class Tensor:
             raise ValueError("mean over an empty reduction set")
         return self.sum(axes, keepdims) * (1.0 / n)
 
-    def softmax(self, axis: int = -1):
-        """Numerically stable softmax along one axis (max subtraction)."""
+    def softmax(self, axis: int = -1, scale: float = 1.0):
+        """Numerically stable softmax of ``x * scale`` along one axis.
+
+        The same float operations as ``(x * scale).softmax(axis)``, done
+        in one new buffer: scale, subtract the max, exponentiate, divide
+        by the sum.
+        """
         axis = axis % self.ndim
-        x = self.data
-        shifted = x - x.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=axis, keepdims=True)
+        y = self.data * scale
+        y -= y.max(axis=axis, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=axis, keepdims=True)
         out = _node(y, (self,))
         if out._parents:
-            out._bw = lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+            def bw(g):
+                gx = g - (g * y).sum(axis=axis, keepdims=True)
+                gx *= y
+                gx *= scale
+                return (gx,)
+
+            out._bw = bw
         return out
 
     # ---- indexing / structure ---------------------------------------------

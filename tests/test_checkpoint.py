@@ -129,8 +129,33 @@ def test_bad_manifest_rejected(tmp_path):
     np.testing.assert_array_equal(loaded["b"], [2.0, 3.0])
     # offset -24 would slice b's bytes out of the data section's tail
     write_manifest(path, ["a 2 -24", "b 2 16"], data)
-    with pytest.raises(ValueError, match="negative offset"):
+    with pytest.raises(ValueError, match="at offset -24, expected 0"):
         load_arrays(str(path))
     write_manifest(path, ["a 2 0", "a 2 16"], data)
     with pytest.raises(ValueError, match="duplicate array name"):
+        load_arrays(str(path))
+    # a -1 dimension would let reshape infer a length from the bytes read
+    write_manifest(path, ["a -1 0"], data)
+    with pytest.raises(ValueError, match="malformed manifest line"):
+        load_arrays(str(path))
+
+
+def test_overlapping_or_out_of_order_ranges_rejected(tmp_path):
+    path = tmp_path / "ck.bin"
+    data = np.arange(4.0).astype("<f8").tobytes()
+    # overlap: both arrays would read [0, 1] and the last two values be ignored
+    write_manifest(path, ["a 2 0", "b 2 0"], data)
+    with pytest.raises(ValueError, match="'b' at offset 0, expected 16"):
+        load_arrays(str(path))
+    # out of order: each range lies inside the data, but b precedes a
+    write_manifest(path, ["a 2 16", "b 2 0"], data)
+    with pytest.raises(ValueError, match="'a' at offset 16, expected 0"):
+        load_arrays(str(path))
+
+
+def test_trailing_data_byte_rejected(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_arrays(str(path), {"a": np.arange(2.0), "b": np.arange(2.0, 4.0)})
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="1 data bytes after the last array"):
         load_arrays(str(path))

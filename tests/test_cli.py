@@ -165,7 +165,7 @@ def test_exit_code_bad_checkpoint_manifest(tmp_path, capsys):
     assert entry(["outpaint", "--model", str(model), "--input", str(seq),
                   "--out", str(tmp_path / "o"), "--mask-ratio", "0.5", "--steps", "2"]) == 2
     err = capsys.readouterr().err
-    assert "negative offset" in err
+    assert "at offset -8, expected 0" in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -66,6 +66,13 @@ def test_patch_indices_match_loop_reference():
         np.testing.assert_array_equal(_patch_indices(h, w, s, c), want)
 
 
+def test_patch_indices_cached_read_only():
+    idx = _patch_indices(3, 2, 4, 7)
+    assert _patch_indices(3, 2, 4, 7) is idx
+    with pytest.raises(ValueError):
+        idx[0, 0] = 0
+
+
 def test_extract_shape_mismatch():
     cb = make_branch()
     with pytest.raises(ValueError):

@@ -354,9 +354,23 @@ def test_assemble_earlier_clip_wins_overlap():
     np.testing.assert_array_equal(out[:, :, 29:], 1.0)
 
 
+def test_assemble_window_matches_full_timeline():
+    # (11, 5, 3): clips [0,5) [2,7) [4,9) [6,11); frame 4 lies in three clips
+    rng = np.random.default_rng(15)
+    plan = plan_clips(11, 5, 3)
+    clips = [rng.random((2, 2, 5, 3)) for _ in plan.ranges]
+    full = assemble(clips, plan)
+    for window in ((0, 11), (4, 7), (3, 4), (6, 11), (10, 11)):
+        np.testing.assert_array_equal(assemble(clips, plan, window), full[:, :, slice(*window)])
+
+
 def test_assemble_validation():
     plan = plan_clips(55, 29, 3)
     with pytest.raises(ValueError):
         assemble([np.zeros((2, 2, 29, 3))], plan)
     with pytest.raises(ValueError):
         assemble([np.zeros((2, 2, 29, 3)), np.zeros((2, 2, 28, 3))], plan)
+    clips = [np.zeros((2, 2, 29, 3))] * 2
+    for window in ((-1, 3), (50, 56), (4, 4)):
+        with pytest.raises(ValueError, match="window"):
+            assemble(clips, plan, window)

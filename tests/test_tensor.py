@@ -5,6 +5,8 @@ differences on random inputs. The comparison is relative:
 |tape - fd| / max(|tape|, |fd|, 1e-6) <= 1e-5 with step 1e-5.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,23 @@ def test_softmax_grad():
     check_grads(lambda x: (x.softmax(axis=0) * w).sum(), [a], tol=1e-6)
 
 
+def test_softmax_scale_is_bitwise_scaled_input():
+    # softmax(scale=s) does in one buffer what x * s then softmax does
+    rng = np.random.default_rng(13)
+    a = rng.normal(0, 3, size=(3, 5, 7))
+    w = rng.normal(size=a.shape)
+    s = 1.0 / np.sqrt(8)
+    for axis in (0, -1):
+        x1 = Tensor(a.copy(), requires_grad=True)
+        x2 = Tensor(a.copy(), requires_grad=True)
+        y1 = x1.softmax(axis=axis, scale=s)
+        y2 = (x2 * s).softmax(axis=axis)
+        np.testing.assert_array_equal(y1.data, y2.data)
+        (y1 * w).sum().backward()
+        (y2 * w).sum().backward()
+        np.testing.assert_array_equal(x1.grad, x2.grad)
+
+
 def test_reduce_stats_matches_numpy_and_grads():
     rng = np.random.default_rng(13)
     a = rand(rng, 3, 4, 5)
@@ -264,6 +283,35 @@ def test_constant_inputs_get_no_grad():
     (x * c).sum().backward()
     assert c.grad is None
     assert x.grad is not None
+
+
+def test_grad_lands_on_leaves_only():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    w = Tensor(np.array([0.5, 3.0]), requires_grad=True)
+    h = x * w
+    y = h.tanh()
+    loss = (y * y).sum()
+    loss.backward()
+    assert x.grad is not None and w.grad is not None
+    assert h.grad is None and y.grad is None and loss.grad is None
+
+
+def test_backward_frees_intermediate_gradients():
+    # each link's incoming gradient (1 MiB) is dropped once passed on, so
+    # backward's own allocations stay near a few buffers, not one per link
+    x = Tensor(np.ones(1 << 17), requires_grad=True)
+    y = x
+    for _ in range(40):
+        y = y * 1.0001
+    loss = y.sum()
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"backward peaked at {peak / 2**20:.1f} MiB"
+    np.testing.assert_allclose(x.grad, 1.0001 ** 40, rtol=1e-12)
 
 
 def test_diamond_graph_grad():
