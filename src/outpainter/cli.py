@@ -132,11 +132,8 @@ def _cmd_outpaint_long(args) -> None:
 
 
 def _cmd_refine(args) -> None:
-    clip = load_frames(args.input).astype(np.int64)
-    template = load_frames(args.template).astype(np.int64)
-    K = template.shape[2]
-    out = refine_clip(clip, template, K)
-    save_frames(args.out, out.astype(np.uint8))
+    template = load_frames(args.template)
+    save_frames(args.out, refine_clip(load_frames(args.input), template, template.shape[2]))
 
 
 def _cmd_eval(args) -> None:

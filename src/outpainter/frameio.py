@@ -83,14 +83,18 @@ def load_frames(directory: str) -> np.ndarray:
         raise ValueError(f"{directory}: manifest must define frames, width, height") from None
     if S < 1:
         raise ValueError(f"{directory}: manifest declares {S} frames")
-    video = np.empty((H, W, S, 3), dtype=np.uint8)
+    # every frame file and frame 0's size are checked before the video is
+    # allocated, so a corrupt manifest cannot ask for an absurd array
     for s in range(S):
-        fpath = os.path.join(directory, frame_name(s))
-        if not os.path.exists(fpath):
+        if not os.path.exists(os.path.join(directory, frame_name(s))):
             raise ValueError(f"{directory}: missing frame index {s} ({frame_name(s)})")
-        frame = load_ppm(fpath)
+    video = None
+    for s in range(S):
+        frame = load_ppm(os.path.join(directory, frame_name(s)))
         if frame.shape != (H, W, 3):
             raise ValueError(f"{directory}: frame {s} is {frame.shape[1]}x{frame.shape[0]}, "
                              f"manifest says {W}x{H}")
+        if video is None:
+            video = np.empty((H, W, S, 3), dtype=np.uint8)
         video[:, :, s] = frame
     return video

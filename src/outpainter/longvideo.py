@@ -5,8 +5,8 @@ A long video is generated clip by clip. Each clip reuses the K frames it
 shares with the already-generated output as fully-given condition frames,
 and its colors are then matched to the previous clip through the shared
 overlap: first a per-channel mean/variance alignment, then 256-bin
-histogram matching. The refiner works on 8-bit integers so histogram
-semantics are exact.
+histogram matching. Both map each 8-bit level to one level, so the refiner
+runs them on a table of the 256 levels and gathers its uint8 clip through it.
 """
 
 from dataclasses import dataclass
@@ -75,10 +75,11 @@ def _check_u8_values(name: str, a: np.ndarray) -> np.ndarray:
     arr = np.asarray(a)
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
-    vals = arr.astype(np.float64)
-    if not ((vals >= 0) & (vals <= 255)).all() or not (vals == np.floor(vals)).all():
-        raise ValueError(f"{name} must hold integers in [0, 255]")
-    return vals.astype(np.int64)
+    if arr.dtype != np.uint8:  # a uint8 array is bounded by its dtype
+        vals = arr.astype(np.float64)
+        if not ((vals >= 0) & (vals <= 255)).all() or not (vals == np.floor(vals)).all():
+            raise ValueError(f"{name} must hold integers in [0, 255]")
+    return arr.astype(np.uint8, copy=False)
 
 
 def mean_variance_alignment(source: np.ndarray, template: np.ndarray, target: np.ndarray,
@@ -152,8 +153,8 @@ def histogram_matching(source: np.ndarray, template: np.ndarray,
 
 
 def quantize_u8(x: np.ndarray) -> np.ndarray:
-    """[0,255] floats -> integers, halves away from zero, clipped."""
-    return np.clip(round_half_away(np.asarray(x, dtype=np.float64)), 0, 255).astype(np.int64)
+    """[0,255] floats -> uint8, halves away from zero, clipped."""
+    return np.clip(round_half_away(np.asarray(x, dtype=np.float64)), 0, 255).astype(np.uint8)
 
 
 def refine_clip(clip: np.ndarray, template: np.ndarray, K: int) -> np.ndarray:
@@ -161,17 +162,22 @@ def refine_clip(clip: np.ndarray, template: np.ndarray, K: int) -> np.ndarray:
 
     clip and template hold 8-bit integer values; the source statistics come
     from the clip's own first K frames (recomputed after the first stage so
-    the histogram step sees what it will actually transform). Output is
-    8-bit integers.
+    the histogram step sees what it will actually transform). Both stages
+    run on a (256, C) table of levels, which the clip is gathered through into uint8.
     """
     if K <= 0 or K >= clip.shape[2]:
         raise ValueError(f"overlap K={K} outside (0, {clip.shape[2]})")
     if template.shape[2] != K:
         raise ValueError(f"template has {template.shape[2]} frames, expected {K}")
-    work = _check_u8_values("clip", clip)
+    clip = _check_u8_values("clip", clip)
     tmpl = _check_u8_values("template", template)
-    work = quantize_u8(mean_variance_alignment(work[:, :, :K], tmpl, work))
-    return histogram_matching(work[:, :, :K], tmpl, work)
+    levels = np.repeat(np.arange(256.0)[:, None], clip.shape[-1], axis=1)
+    lut = quantize_u8(mean_variance_alignment(clip[:, :, :K], tmpl, levels))
+    lut = histogram_matching(lut[clip[:, :, :K], np.arange(clip.shape[-1])], tmpl, lut)
+    out = np.empty_like(clip)
+    for c in range(clip.shape[-1]):
+        np.take(lut[:, c], clip[..., c], out=out[..., c])
+    return out
 
 
 def assemble(clips: list, plan: ClipPlan, window: tuple[int, int] | None = None) -> np.ndarray:

@@ -108,25 +108,22 @@ def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: in
         raise ValueError(f"long-video input must be uint8, got {video_u8.dtype}")
     _check_video(video_u8, M)
     plan = plan_clips(video_u8.shape[2], S_clip, K)
-    video = from_u8(video_u8)
-    source_u8 = video_u8.astype(np.int64)
     outs = []
 
     for i, (a, b) in enumerate(plan.ranges):
         clip_mask = M[:, :, a:b]
-        x_masked = masked_input(video[:, :, a:b], clip_mask)
+        x_masked = masked_input(from_u8(video_u8[:, :, a:b]), clip_mask)
         if i == 0:
             cond, cond_mask = x_masked, clip_mask
         else:
             overlap = assemble(outs, replace(plan, ranges=plan.ranges[:i]), (a, a + K))
-            prev = from_u8(overlap.astype(np.uint8))
-            cond, cond_mask = build_condition(prev, x_masked, clip_mask, K)
+            cond, cond_mask = build_condition(from_u8(overlap), x_masked, clip_mask, K)
         cfg_i = replace(config, seed=config.seed + i)
         z0 = sample(model, encode(cond), downsample_mask(cond_mask),
                     model.text_vector(), cfg_i, sched)
-        out = to_u8(decode(z0)).astype(np.int64)
+        out = to_u8(decode(z0))
         if i > 0 and refine:
             out = refine_clip(out, overlap, K)
-        outs.append(np.where(clip_mask == 1.0, source_u8[:, :, a:b], out))
+        outs.append(np.where(clip_mask == 1.0, video_u8[:, :, a:b], out))
 
-    return assemble(outs, plan).astype(np.uint8)
+    return assemble(outs, plan)

@@ -153,6 +153,23 @@ def test_exit_code_data_errors(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_exit_code_corrupt_frame_manifest(tmp_path, capsys):
+    # the manifest claims a 2.66 PiB video; it must be refused before any
+    # allocation, by the frame files on disk
+    clip, tmpl = tmp_path / "clip", tmp_path / "tmpl"
+    save_frames(str(clip), np.zeros((4, 4, 3, 3), dtype=np.uint8))
+    save_frames(str(tmpl), np.zeros((4, 4, 2, 3), dtype=np.uint8))
+    for manifest, reason in (("frames=100000 width=100000 height=100000", "missing frame index 3"),
+                             ("frames=3 width=100000 height=100000", "frame 0 is 4x4")):
+        (clip / "manifest.txt").write_text(manifest + "\n")
+        assert entry(["refine", "--input", str(clip), "--template", str(tmpl),
+                      "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert reason in err
+        assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_bad_checkpoint_manifest(tmp_path, capsys):
     model = tmp_path / "m.bin"
     write_tiny_model(model)

@@ -4,6 +4,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from outpainter.frameio import frame_name, load_frames, load_ppm, save_frames, save_ppm
 
@@ -128,3 +131,47 @@ def test_manifest_missing_key_rejected(tmp_path):
 def test_non_uint8_save_rejected(tmp_path):
     with pytest.raises(ValueError):
         save_frames(str(tmp_path / "x"), np.zeros((4, 4, 2, 3)))
+
+
+# ---- P6 parser properties ------------------------------------------------------
+
+frames = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda hw: arrays(np.uint8, hw + (3,)))
+blanks = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\v", b"\f"])
+comments = st.builds(lambda text, end: b"#" + text.translate(None, b"\r\n") + end,
+                     st.binary(max_size=8), st.sampled_from([b"\n", b"\r"]))
+# what may separate two header fields: whitespace and comments, at least one
+header_gaps = st.lists(st.one_of(blanks, comments), min_size=1, max_size=4).map(b"".join)
+
+
+def ppm_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ppm") / "f.ppm"
+
+
+@given(frames)
+def test_ppm_round_trip_property(tmp_path_factory, img):
+    path = ppm_path(tmp_path_factory)
+    save_ppm(str(path), img)
+    back = load_ppm(str(path))
+    assert back.dtype == np.uint8
+    np.testing.assert_array_equal(back, img)
+
+
+@given(frames, header_gaps, header_gaps, header_gaps, blanks)
+def test_any_netpbm_header_spelling_loads_same_pixels(tmp_path_factory, img, g0, g1, g2, last):
+    H, W, _ = img.shape
+    path = ppm_path(tmp_path_factory)
+    path.write_bytes(b"P6" + g0 + str(W).encode() + g1 + str(H).encode() + g2 + b"255" + last
+                     + img.tobytes())
+    np.testing.assert_array_equal(load_ppm(str(path)), img)
+
+
+@given(frames, header_gaps)
+def test_every_truncation_rejected(tmp_path_factory, img, gap):
+    H, W, _ = img.shape
+    blob = b"P6" + gap + f"{W} {H}\n255\n".encode() + img.tobytes()
+    path = ppm_path(tmp_path_factory)
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError):
+            load_ppm(str(path))

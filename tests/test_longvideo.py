@@ -4,8 +4,12 @@ The histogram-matching oracle here rebuilds the lookup by linear scan over
 the template CDF (no searchsorted) and must agree with production exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from outpainter.longvideo import (
     assemble,
@@ -320,6 +324,62 @@ def test_refine_clip_stage_toggles():
                                              tmpl.astype(float), clip.astype(float)))
     np.testing.assert_array_equal(refine_clip(clip, tmpl, K=2),
                                   histogram_matching(mv[:, :, :2], tmpl, mv))
+
+
+@st.composite
+def refine_cases(draw):
+    """A uint8 clip, a K-frame template and K. Each channel's values lie in
+    a drawn band, so a narrow clip band against a wide template band drives
+    the alignment past 0 and 255, and a one-level band is a constant channel."""
+    H, W = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    S = draw(st.integers(2, 7))
+    K = draw(st.integers(1, S - 1))
+    C = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+
+    def banded(frames):
+        out = np.empty((H, W, frames, C), dtype=np.uint8)
+        for c in range(C):
+            lo = draw(st.integers(0, 255))
+            hi = draw(st.sampled_from([lo, min(lo + 3, 255), 255]))
+            out[..., c] = rng.integers(lo, hi + 1, size=(H, W, frames))
+        return out
+
+    return banded(S), banded(K), K
+
+
+@given(refine_cases())
+@example((np.array([[[[0, 9, 250], [255, 9, 0], [128, 9, 3]]]], dtype=np.uint8),
+          np.array([[[[90, 200, 0]]]], dtype=np.uint8), 1))
+@example((np.array([[[[100, 7], [101, 7], [0, 7], [255, 8]]],
+                    [[[102, 7], [103, 7], [40, 7], [200, 9]]]], dtype=np.uint8),
+          np.array([[[[0, 0], [255, 30]]], [[[255, 60], [0, 90]]]], dtype=np.uint8), 2))
+def test_refine_clip_equals_per_pixel_stages(case):
+    # the 256-level tables give what running both stages on every pixel gives
+    clip, tmpl, K = case
+    mv = quantize_u8(mean_variance_alignment(clip[:, :, :K].astype(float),
+                                             tmpl.astype(float), clip.astype(float)))
+    want = histogram_matching(mv[:, :, :K], tmpl, mv)
+    for dtype in (np.uint8, np.int64):
+        got = refine_clip(clip.astype(dtype), tmpl.astype(dtype), K)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
+
+
+def test_refine_clip_memory_is_a_few_clips():
+    # the stages run on (256, C) tables; only the output and the K overlap
+    # frames' statistics scale with the clip
+    rng = np.random.default_rng(16)
+    clip = rng.integers(0, 256, size=(64, 64, 29, 3), dtype=np.uint8)
+    tmpl = rng.integers(0, 256, size=(64, 64, 3, 3), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        refine_clip(clip, tmpl, K=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * clip.nbytes, f"peak {peak / clip.nbytes:.1f}x the clip's bytes"
 
 
 def test_refine_clip_validation():
