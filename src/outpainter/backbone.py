@@ -7,11 +7,12 @@ where F is a tiny bounded network of the token's mask value, so the
 model can tell given regions from regions it must invent.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Linear, Module, layer_norm, param, sinusoid_table, timestep_encoding
+from .nn import Linear, Module, layer_norm, param, sinusoid_table
 from .tensor import Tensor
 
 
@@ -47,25 +48,29 @@ def untokenize(tokens, grid: tuple):
     return tokens.reshape((s, h, w, d)).transpose((1, 2, 0, 3))
 
 
+@functools.lru_cache(maxsize=32)
 def position_encoding(grid: tuple, d_model: int) -> np.ndarray:
     """Fixed 1-D sinusoids per axis, concatenated channel-wise.
 
     Row, column, and frame coordinates each own a channel chunk, so
     distinct latent sites always receive distinct encodings (a summed
-    shared table would collide under coordinate swaps).
+    shared table would collide under coordinate swaps). Cached by
+    (grid, d_model), so the array is shared between callers and read-only.
     """
     h, w, s = grid
     chunk = (d_model // 3) // 2 * 2
     d_r, d_c = chunk, chunk
     d_f = d_model - 2 * chunk
-    rows = sinusoid_table(h, d_r)
-    cols = sinusoid_table(w, d_c)
-    frames = sinusoid_table(s, d_f)
+    rows = sinusoid_table(np.arange(h), d_r)
+    cols = sinusoid_table(np.arange(w), d_c)
+    frames = sinusoid_table(np.arange(s), d_f)
     pe = np.zeros((s, h, w, d_model))
     pe[:, :, :, :d_r] = rows[None, :, None, :]
     pe[:, :, :, d_r:d_r + d_c] = cols[None, None, :, :]
     pe[:, :, :, d_r + d_c:] = frames[:, None, None, :]
-    return pe.reshape(s * h * w, d_model)
+    pe = pe.reshape(s * h * w, d_model)
+    pe.flags.writeable = False
+    return pe
 
 
 class MaskScaler(Module):
@@ -154,7 +159,7 @@ class Backbone(Module):
 
     def condition_vector(self, t: int, text_embed) -> Tensor:
         """Timestep features plus the text (or learned null) embedding."""
-        tv = Tensor(timestep_encoding(t, self.cfg.t_dim).reshape(1, -1))
+        tv = Tensor(sinusoid_table([t], self.cfg.t_dim))
         c = self.t_fc2(self.t_fc1(tv).tanh()).reshape((self.cfg.d_model,))
         if text_embed is None:
             return c + self.null_embed
@@ -163,32 +168,27 @@ class Backbone(Module):
     def patchify(self, z) -> Tensor:
         """Latents -> embedded tokens with position encoding added."""
         grid = z.shape[:3]
-        tok = tokenize(z if isinstance(z, Tensor) else Tensor(z))
-        return self.embed(tok) + Tensor(position_encoding(grid, self.cfg.d_model))
+        return self.embed(tokenize(Tensor(z))) + Tensor(position_encoding(grid, self.cfg.d_model))
 
-    def forward(self, z_t, t: int, injected, m_tokens, text_embed, inject_fn=None) -> Tensor:
-        """Predict epsilon for z_t. Conditions enter once, after block 1:
-        `injected` is added to the block-1 output; alternatively inject_fn
-        receives that output and returns the sequence to add (used by the
-        control branch, whose alignment needs the live block-1 stats)."""
+    def forward(self, z_t, t: int, m_tokens, text_embed, inject_fn=None) -> Tensor:
+        """Predict epsilon for z_t, an (h, w, s, d_latent) latent array.
+
+        m_tokens: the (h*w*s, 1) latent mask in token order. Conditions
+        enter once, after block 1: inject_fn receives that block's output
+        and returns the (h*w*s, d_model) sequence added to it (the control
+        branch aligns its features to the live block-1 statistics there).
+        """
         grid = z_t.shape[:3]
-        L = grid[0] * grid[1] * grid[2]
-        if not isinstance(m_tokens, Tensor):
-            m_tokens = Tensor(np.asarray(m_tokens, dtype=np.float64).reshape(L, 1))
+        m_tokens = Tensor(m_tokens)
         cond = self.condition_vector(t, text_embed)
         mults = [mask_multipliers(b.scaler, m_tokens, self.cfg.gamma) for b in self.blocks]
 
-        x = self.patchify(z_t)
-        x = self.blocks[0](x, cond, mults[0])
-        if injected is not None:
-            inj = injected if isinstance(injected, Tensor) else Tensor(injected)
+        x = self.blocks[0](self.patchify(z_t), cond, mults[0])
+        if inject_fn is not None:
+            inj = inject_fn(x)
             if inj.shape != x.shape:
                 raise ValueError(f"injected shape {inj.shape} != token shape {x.shape}")
             x = x + inj
-        if inject_fn is not None:
-            x = x + inject_fn(x)
-        for i in range(1, len(self.blocks)):
-            x = self.blocks[i](x, cond, mults[i])
-        x = layer_norm(x)
-        eps_tokens = self.head(x)
-        return untokenize(eps_tokens, grid)
+        for block, mult in zip(self.blocks[1:], mults[1:]):
+            x = block(x, cond, mult)
+        return untokenize(self.head(layer_norm(x)), grid)

@@ -11,6 +11,8 @@ Checkpoints are self-describing: model files carry `meta/...` scalar
 entries holding the architecture so loading needs no side channel.
 """
 
+from dataclasses import fields
+
 import numpy as np
 
 from .backbone import BackboneConfig
@@ -84,11 +86,9 @@ def load_arrays(path: str) -> dict:
     return out
 
 
-_META_FIELDS = ("n_blocks", "d_model", "n_heads", "gamma", "mlp_ratio", "d_latent", "t_dim")
-
-
 def save_model(path: str, model: OutpaintingModel) -> None:
-    named = [(f"meta/{f}", np.float64(getattr(model.cfg, f))) for f in _META_FIELDS]
+    named = [(f"meta/{f.name}", np.float64(getattr(model.cfg, f.name)))
+             for f in fields(BackboneConfig)]
     named.append(("meta/control_hidden", np.float64(model.control_hidden)))
     named.extend((name, p.data) for name, p in model.named_params())
     save_arrays(path, named)
@@ -97,12 +97,10 @@ def save_model(path: str, model: OutpaintingModel) -> None:
 def load_model(path: str) -> OutpaintingModel:
     arrays = load_arrays(path)
     try:
-        kwargs = {f: float(arrays.pop(f"meta/{f}")) for f in _META_FIELDS}
+        kwargs = {f.name: f.type(arrays.pop(f"meta/{f.name}")) for f in fields(BackboneConfig)}
         control_hidden = int(arrays.pop("meta/control_hidden"))
     except KeyError as e:
         raise ValueError(f"{path}: missing checkpoint metadata {e}") from None
-    for f in ("n_blocks", "d_model", "n_heads", "mlp_ratio", "d_latent", "t_dim"):
-        kwargs[f] = int(kwargs[f])
     model = OutpaintingModel(BackboneConfig(**kwargs), seed=0, control_hidden=control_hidden)
     params = dict(model.named_params())
     if set(params) != set(arrays):

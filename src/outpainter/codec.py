@@ -67,10 +67,3 @@ def downsample_mask(M: np.ndarray, p: int = PATCH) -> np.ndarray:
     _check_divisible(H, W, p)
     h, w = H // p, W // p
     return M.reshape(h, p, w, p, S, 1).mean(axis=(1, 3))
-
-
-def blend_given_region(generated: np.ndarray, original: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Copy original pixels wherever the mask is 1, bit-exactly."""
-    if generated.shape != original.shape:
-        raise ValueError(f"shape mismatch {generated.shape} vs {original.shape}")
-    return np.where(M == 1.0, original, generated)

@@ -10,6 +10,7 @@ import functools
 
 import numpy as np
 
+from .backbone import tokenize, untokenize
 from .nn import Linear, Module, Tensor, param
 
 
@@ -22,17 +23,9 @@ def _patch_indices(h: int, w: int, s: int, c: int) -> np.ndarray:
     element order (dy, dx, channel). Cached by shape, so the array is
     shared between callers and read-only.
     """
-    hp, wp = h + 2, w + 2
-    ff, ii, jj = (a.reshape(-1, 1) for a in np.meshgrid(
-        np.arange(s), np.arange(h), np.arange(w), indexing="ij"))  # (L, 1) each
-    dy, dx = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
-    dy, dx = dy.ravel(), dx.ravel()  # 9 offsets
-    ch = np.arange(c)
-    # flat index into (hp, wp, s, c)
-    ii = ii + dy[None, :]  # (L, 9)
-    jj = jj + dx[None, :]
-    flat = ((ii * wp + jj) * s + ff)[:, :, None] * c + ch[None, None, :]
-    flat = flat.reshape(h * w * s, 9 * c)
+    idx = np.arange((h + 2) * (w + 2) * s * c).reshape(h + 2, w + 2, s, c)
+    flat = np.concatenate([tokenize(idx[dy:dy + h, dx:dx + w])
+                           for dy in range(3) for dx in range(3)], axis=1)
     flat.flags.writeable = False
     return flat
 
@@ -44,7 +37,6 @@ class Conv3x3(Module):
         self.W = param(rng, (9 * c_in, c_out), scale=1.0 / np.sqrt(9 * c_in))
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
         self.c_in = c_in
-        self.c_out = c_out
 
     def __call__(self, x: Tensor) -> Tensor:
         """(h, w, s, c_in) -> (h, w, s, c_out)."""
@@ -52,10 +44,8 @@ class Conv3x3(Module):
         if c != self.c_in:
             raise ValueError(f"expected {self.c_in} channels, got {c}")
         xp = x.pad(((1, 1), (1, 1), (0, 0), (0, 0)))
-        cols = xp.take(_patch_indices(h, w, s, c))  # (h*w*s frame-major, 9c)
-        out = cols @ self.W + self.b
-        # frame-major rows -> (s, h, w, c_out) -> (h, w, s, c_out)
-        return out.reshape((s, h, w, self.c_out)).transpose((1, 2, 0, 3))
+        cols = xp.take(_patch_indices(h, w, s, c))  # (h*w*s tokens, 9c)
+        return untokenize(cols @ self.W + self.b, (h, w, s))
 
 
 class ControlBranch(Module):
@@ -74,10 +64,7 @@ class ControlBranch(Module):
         x = Tensor(np.concatenate([z_masked, m], axis=3))
         x = self.conv1(x).tanh()
         x = self.conv2(x).tanh()
-        x = self.conv3(x)
-        h, w, s, c = x.shape
-        tok = x.transpose((2, 0, 1, 3)).reshape((h * w * s, c))
-        return self.proj(tok)
+        return self.proj(tokenize(self.conv3(x)))
 
 
 def feature_stats(features: Tensor, flow_gradient: bool = False):
@@ -94,8 +81,7 @@ def feature_stats(features: Tensor, flow_gradient: bool = False):
         # variance floor keeps sqrt differentiable on degenerate channels
         sigma = (d * d).mean(axes=0).clamp(lo=1e-12) ** 0.5
         return mu, sigma
-    data = features.data if isinstance(features, Tensor) else np.asarray(features)
-    return Tensor(data.mean(axis=0)), Tensor(data.std(axis=0))
+    return Tensor(features.data.mean(axis=0)), Tensor(features.data.std(axis=0))
 
 
 def align(features: Tensor, mu_m, sigma_m, eps_std: float = 1e-6) -> Tensor:

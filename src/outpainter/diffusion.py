@@ -19,7 +19,6 @@ class Schedule:
 
     T: int
     beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
 
     def alpha_bar_at(self, t: int) -> float:
@@ -48,8 +47,7 @@ def make_schedule(T: int = 1000, beta_start: float = 1e-4, beta_end: float = 0.0
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError(f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]")
     beta = np.linspace(beta_start, beta_end, T)
-    alpha = 1.0 - beta
-    return Schedule(T=T, beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
+    return Schedule(T=T, beta=beta, alpha_bar=np.cumprod(1.0 - beta))
 
 
 def q_sample(z0: np.ndarray, t: int, eps: np.ndarray, sched: Schedule) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import round_half_away
+from .util import quantize_u8, round_half_away
 
 
 @dataclass(frozen=True)
@@ -150,11 +150,6 @@ def histogram_matching(source: np.ndarray, template: np.ndarray,
         lut = match_lut(source[..., c], template[..., c])
         out[..., c] = lut[tgt[..., c]]
     return out
-
-
-def quantize_u8(x: np.ndarray) -> np.ndarray:
-    """[0,255] floats -> uint8, halves away from zero, clipped."""
-    return np.clip(round_half_away(np.asarray(x, dtype=np.float64)), 0, 255).astype(np.uint8)
 
 
 def refine_clip(clip: np.ndarray, template: np.ndarray, K: int) -> np.ndarray:

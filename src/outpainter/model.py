@@ -46,8 +46,7 @@ class OutpaintingModel(Module):
             mu_m, sigma_m = feature_stats(block1_out, flow_gradient=self.align_stats_grad)
             return align(cond_features, mu_m, sigma_m)
 
-        return self.backbone.forward(z_t, t, None, m_tokens, text_embed,
-                                     inject_fn=inject_fn)
+        return self.backbone.forward(z_t, t, m_tokens, text_embed, inject_fn)
 
     def predict_eps(self, z_t: np.ndarray, t: int, z_masked: np.ndarray, m: np.ndarray,
                     text_embed=None) -> np.ndarray:

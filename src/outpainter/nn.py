@@ -61,23 +61,14 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     return d / (var + eps) ** 0.5
 
 
-def sinusoid_table(n_pos: int, dim: int) -> np.ndarray:
-    """Classic fixed encoding: sin on even channels, cos on odd."""
+def sinusoid_table(pos, dim: int) -> np.ndarray:
+    """Classic fixed encoding, one row per position in `pos`: sin on even
+    channels, cos on odd."""
     if dim % 2:
         raise ValueError(f"sinusoid dim must be even, got {dim}")
-    pos = np.arange(n_pos)[:, None]
+    pos = np.asarray(pos)[:, None]
     freq = np.exp(-np.log(10000.0) * np.arange(0, dim, 2) / dim)[None, :]
-    table = np.zeros((n_pos, dim))
+    table = np.zeros((len(pos), dim))
     table[:, 0::2] = np.sin(pos * freq)
     table[:, 1::2] = np.cos(pos * freq)
     return table
-
-
-def timestep_encoding(t: int, dim: int = 128) -> np.ndarray:
-    if dim % 2:
-        raise ValueError(f"timestep encoding dim must be even, got {dim}")
-    freq = np.exp(-np.log(10000.0) * np.arange(0, dim, 2) / dim)
-    out = np.zeros(dim)
-    out[0::2] = np.sin(t * freq)
-    out[1::2] = np.cos(t * freq)
-    return out

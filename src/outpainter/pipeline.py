@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codec import PATCH, blend_given_region, decode, downsample_mask, encode
+from .codec import PATCH, decode, downsample_mask, encode
 from .diffusion import Schedule, SamplerConfig, make_schedule, sample
 from .longvideo import assemble, build_condition, plan_clips, refine_clip
 from .util import from_u8, round_half_away, to_u8
@@ -52,8 +52,9 @@ def make_eval_mask(spec: EvalMaskSpec, H: int, W: int, S: int) -> np.ndarray:
     return M
 
 
-def masked_input(video: np.ndarray, M: np.ndarray, fill: float = 0.5) -> np.ndarray:
-    """Keep given pixels, mid-gray everywhere else."""
+def masked_input(video: np.ndarray, M: np.ndarray, fill=0.5) -> np.ndarray:
+    """Keep given pixels (M == 1) bit-exactly and take `fill` everywhere
+    else: mid-gray by default, or any value or video of the same shape."""
     if M.shape != video.shape[:3] + (1,):
         raise ValueError(f"mask shape {M.shape} != {video.shape[:3] + (1,)}")
     return np.where(M == 1.0, video, fill)
@@ -86,8 +87,7 @@ def outpaint_video(model, video: np.ndarray, M: np.ndarray,
     x_masked = masked_input(video, M)
     z0 = sample(model, encode(x_masked), downsample_mask(M),
                 model.text_vector(), config, sched)
-    gen = np.clip(decode(z0), 0.0, 1.0)
-    return blend_given_region(gen, video, M)
+    return masked_input(video, M, np.clip(decode(z0), 0.0, 1.0))
 
 
 def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: int,
@@ -124,6 +124,6 @@ def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: in
         out = to_u8(decode(z0))
         if i > 0 and refine:
             out = refine_clip(out, overlap, K)
-        outs.append(np.where(clip_mask == 1.0, video_u8[:, :, a:b], out))
+        outs.append(masked_input(video_u8[:, :, a:b], clip_mask, out))
 
     return assemble(outs, plan)

@@ -6,7 +6,8 @@ the clean-latent estimate. The gate is sharp: at or above the threshold
 timestep the total is bit-identical to the MSE alone.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,7 +59,7 @@ def latent_alignment_loss(z0_hat, z0) -> Tensor:
         raise ValueError(f"shape mismatch {z0_hat.shape} vs {z0.shape}")
     axes = (0, 1, 3)
     mu_hat, var_hat = reduce_stats(z0_hat, axes)
-    mu, var = reduce_stats(z0 if isinstance(z0, Tensor) else Tensor(z0), axes)
+    mu, var = reduce_stats(Tensor(z0), axes)
     return ((mu_hat - mu).abs() + (var_hat - var).abs()).mean()
 
 
@@ -192,11 +193,43 @@ class TrainConfig:
     restricted: bool = False
 
 
+# ranges a run needs that BackboneConfig and LossConfig do not check
+# themselves; every float must also be finite
+_VALID = {
+    "steps": (lambda v: v >= 1, ">= 1"),
+    "d_model": (lambda v: v >= 1, ">= 1"),
+    "n_heads": (lambda v: v >= 1, ">= 1"),
+    "control_hidden": (lambda v: v >= 1, ">= 1"),
+    "lr": (lambda v: v > 0, "> 0"),
+    "text_drop": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "momentum": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_value(key: str, kind: type, val: str):
+    if kind is tuple:
+        dims = tuple(int(v) for v in val.lower().split("x"))
+        if len(dims) != 3 or min(dims) < 1:
+            raise ValueError("must be HxWxS with positive sizes")
+        return dims
+    if kind is bool:
+        if val.lower() not in _BOOLS:
+            raise ValueError(f"must be one of {', '.join(_BOOLS)}")
+        return _BOOLS[val.lower()]
+    value = kind(val)
+    if kind is float and not math.isfinite(value):
+        raise ValueError("must be finite")
+    if key in _VALID and not _VALID[key][0](value):
+        raise ValueError(f"must be {_VALID[key][1]}")
+    return value
+
+
 def parse_train_config(text: str) -> TrainConfig:
-    """key=value lines; '#' starts a comment; unknown keys rejected."""
+    """key=value lines; '#' starts a comment. Unknown keys and values a run
+    cannot use are rejected with the number of their line."""
     cfg = TrainConfig()
-    ints = {"steps", "t_latent", "seed", "n_blocks", "d_model", "n_heads", "control_hidden"}
-    floats = {"lr", "beta", "gamma", "text_drop", "momentum"}
+    kinds = {f.name: f.type for f in fields(TrainConfig)}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -204,19 +237,12 @@ def parse_train_config(text: str) -> TrainConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key == "shape":
-            dims = tuple(int(v) for v in val.lower().split("x"))
-            if len(dims) != 3:
-                raise ValueError(f"line {lineno}: shape must be HxWxS")
-            cfg.shape = dims
-        elif key in ints:
-            setattr(cfg, key, int(val))
-        elif key in floats:
-            setattr(cfg, key, float(val))
-        elif key == "restricted":
-            cfg.restricted = val.lower() in ("1", "true", "yes")
-        else:
+        if key not in kinds:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        try:
+            setattr(cfg, key, _parse_value(key, kinds[key], val))
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: bad {key} value {val!r}: {e}") from None
     return cfg
 
 

@@ -12,9 +12,14 @@ def round_half_away(x):
     return out
 
 
+def quantize_u8(x: np.ndarray) -> np.ndarray:
+    """[0,255] floats -> uint8, halves away from zero, clipped."""
+    return np.clip(round_half_away(np.asarray(x, dtype=np.float64)), 0, 255).astype(np.uint8)
+
+
 def to_u8(x: np.ndarray) -> np.ndarray:
     """[0,1] floats -> 0..255 uint8, rounding halves away from zero."""
-    return np.clip(round_half_away(np.asarray(x) * 255.0), 0, 255).astype(np.uint8)
+    return quantize_u8(np.asarray(x) * 255.0)
 
 
 def from_u8(u: np.ndarray) -> np.ndarray:

@@ -208,7 +208,7 @@ def test_03_feature_alignment_reproduces_block1_stats():
             captured.update(aligned=out.data, mu=mu.data, sigma=sigma.data)
             return out
 
-        model.backbone.forward(z_t, t, None, tokenize(m), None, inject_fn=inject_fn)
+        model.backbone.forward(z_t, t, tokenize(m), None, inject_fn=inject_fn)
         a = captured["aligned"]
         got_mu = a.mean(axis=0)
         got_sd = np.sqrt(((a - got_mu) ** 2).mean(axis=0))

@@ -57,13 +57,20 @@ def test_tokenize_untokenize_bijection():
     np.testing.assert_array_equal(untokenize(tokenize(zt), (3, 5, 4)).data, z)
 
 
+def test_position_encoding_cached_read_only():
+    pe = position_encoding((2, 3, 4), 16)
+    assert position_encoding((2, 3, 4), 16) is pe
+    with pytest.raises(ValueError):
+        pe[0, 0] = 1.0
+
+
 def test_position_encoding_distinguishes_axes():
     pe = position_encoding((2, 3, 4), 16)
     assert pe.shape == (24, 16)
     # all tokens get distinct encodings on this grid
     assert len({tuple(np.round(row, 9)) for row in pe}) == 24
     # chunked structure: row / col / frame own disjoint channel ranges
-    rows, cols, frames = sinusoid_table(2, 4), sinusoid_table(3, 4), sinusoid_table(4, 8)
+    rows, cols, frames = (sinusoid_table(np.arange(n), d) for n, d in ((2, 4), (3, 4), (4, 8)))
     for idx in (0, 7, 23):
         f, rest = divmod(idx, 6)
         r, c = divmod(rest, 3)
@@ -258,8 +265,8 @@ def test_backbone_forward_shape_and_injection_zero():
     z = rng.standard_normal((2, 2, 2, 48))
     m_tok = rng.uniform(0, 1, size=(8, 1))
     with no_grad():
-        base = bb.forward(z, 10, None, m_tok, None).data
-        withzero = bb.forward(z, 10, np.zeros((8, 16)), m_tok, None).data
+        base = bb.forward(z, 10, m_tok, None).data
+        withzero = bb.forward(z, 10, m_tok, None, lambda x: Tensor(np.zeros((8, 16)))).data
     assert base.shape == z.shape
     np.testing.assert_array_equal(base, withzero)
 
@@ -269,7 +276,25 @@ def test_backbone_injection_shape_mismatch():
     bb = Backbone(small_cfg(), rng)
     z = rng.standard_normal((2, 2, 2, 48))
     with pytest.raises(ValueError):
-        bb.forward(z, 10, np.zeros((7, 16)), np.ones((8, 1)), None)
+        bb.forward(z, 10, np.ones((8, 1)), None, lambda x: Tensor(np.zeros((7, 16))))
+
+
+def test_forward_rejects_mask_not_in_token_order():
+    # an (h, w, s, 1) mask must be tokenized first, not reshaped in spatial order
+    rng = np.random.default_rng(13)
+    bb = Backbone(small_cfg(), rng)
+    z = rng.standard_normal((2, 2, 2, 48))
+    with pytest.raises(ValueError):
+        bb.forward(z, 10, np.ones((2, 2, 2, 1)), None)
+
+
+def test_forward_rejects_injection_that_would_broadcast():
+    # one (1, d) row would otherwise be added silently to every token
+    rng = np.random.default_rng(13)
+    bb = Backbone(small_cfg(), rng)
+    z = rng.standard_normal((2, 2, 2, 48))
+    with pytest.raises(ValueError):
+        bb.forward(z, 10, np.ones((8, 1)), None, lambda x: Tensor(np.ones((1, 16))))
 
 
 def test_backbone_gamma_zero_equals_standard_everywhere():
@@ -278,8 +303,8 @@ def test_backbone_gamma_zero_equals_standard_everywhere():
     bb = Backbone(small_cfg(gamma=0.0), rng)
     z = rng.standard_normal((2, 2, 2, 48))
     with no_grad():
-        a = bb.forward(z, 3, None, rng.uniform(0, 1, (8, 1)), None).data
-        b = bb.forward(z, 3, None, rng.uniform(0, 1, (8, 1)), None).data
+        a = bb.forward(z, 3, rng.uniform(0, 1, (8, 1)), None).data
+        b = bb.forward(z, 3, rng.uniform(0, 1, (8, 1)), None).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -295,8 +320,8 @@ def test_backbone_end_to_end_gradient_check():
 
     def loss_fn():
         # both conditioning branches so every parameter participates
-        out_c = bb.forward(z, 100, None, m_tok, bb.text_embed)
-        out_u = bb.forward(z, 100, None, m_tok, None)
+        out_c = bb.forward(z, 100, m_tok, bb.text_embed)
+        out_u = bb.forward(z, 100, m_tok, None)
         return ((out_c - target) ** 2).mean() + ((out_u - target) ** 2).mean()
 
     _fd_check_params(loss_fn, bb.named_params(), sample_at_most=4,
@@ -312,6 +337,6 @@ def test_timestep_changes_output_through_conditioning():
     z = rng.standard_normal((2, 2, 2, 48))
     m = np.ones((8, 1))
     with no_grad():
-        a = bb.forward(z, 1, None, m, None).data
-        b = bb.forward(z, 900, None, m, None).data
+        a = bb.forward(z, 1, m, None).data
+        b = bb.forward(z, 900, m, None).data
     assert np.abs(a - b).max() > 1e-8

@@ -58,6 +58,20 @@ def test_model_round_trip(tmp_path):
         np.testing.assert_array_equal(orig[name].data, back[name].data)
 
 
+def test_model_round_trip_keeps_every_config_field(tmp_path):
+    cfg = BackboneConfig(n_blocks=3, d_model=12, n_heads=3, gamma=0.25, mlp_ratio=2,
+                         t_dim=10)
+    model = OutpaintingModel(cfg, seed=4, control_hidden=6)
+    path = tmp_path / "model.bin"
+    save_model(str(path), model)
+    loaded = load_model(str(path))
+    assert loaded.cfg == cfg
+    assert all(type(getattr(loaded.cfg, f)) is type(getattr(cfg, f)) for f in vars(cfg))
+    assert loaded.control_hidden == 6
+    for (name, p), (_, q) in zip(model.named_params(), loaded.named_params()):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
+
 def test_loaded_model_same_prediction(tmp_path):
     cfg = BackboneConfig(n_blocks=2, d_model=24, n_heads=2)
     model = OutpaintingModel(cfg, seed=5, control_hidden=8)

@@ -122,6 +122,17 @@ def test_train_writes_loadable_checkpoint(tmp_path, capsys):
     assert model.cfg.d_model == 16
 
 
+@pytest.mark.parametrize("line", ["restricted=on", "steps=-5", "lr=-1", "text_drop=nan"])
+def test_exit_code_unusable_train_config(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"shape=8x8x2\nsteps=1\n{line}\n")
+    out = tmp_path / "m.bin"
+    assert entry(["train", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_exit_code_usage_errors(tmp_path, capsys):
     assert entry(["outpaint", "--bogus-flag"]) == 1
     assert entry(["no-such-command"]) == 1

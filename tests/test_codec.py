@@ -8,12 +8,7 @@ never calls encode: for latent channel k at site (i, j), the pixel is
 import numpy as np
 import pytest
 
-from outpainter.codec import (
-    blend_given_region,
-    decode,
-    downsample_mask,
-    encode,
-)
+from outpainter.codec import decode, downsample_mask, encode
 
 
 def rand_video(rng, H, W, S):
@@ -114,14 +109,3 @@ def test_downsample_mask_commutes_with_frame_permutation():
     np.testing.assert_array_equal(
         downsample_mask(M[:, :, perm], p=4), downsample_mask(M, p=4)[:, :, perm]
     )
-
-
-def test_blend_given_region_bit_exact():
-    rng = np.random.default_rng(6)
-    gen = rand_video(rng, 8, 8, 2)
-    orig = rand_video(rng, 8, 8, 2)
-    M = (rng.random((8, 8, 2, 1)) < 0.5).astype(np.float64)
-    out = blend_given_region(gen, orig, M)
-    given = np.broadcast_to(M == 1.0, out.shape)
-    np.testing.assert_array_equal(out[given], orig[given])
-    np.testing.assert_array_equal(out[~given], gen[~given])

@@ -148,18 +148,18 @@ def test_inject_is_sum_and_validates():
     rng = np.random.default_rng(9)
     bb = Backbone(cfg, rng)
     z = rng.standard_normal((2, 2, 2, 48))
-    m_tok = Tensor(rng.uniform(0, 1, size=(8, 1)))
+    m_tok = rng.uniform(0, 1, size=(8, 1))
     b = rng.standard_normal((8, 16))
     with no_grad():
-        got = bb.forward(z, 20, b, m_tok, None).data
+        got = bb.forward(z, 20, m_tok, None, lambda x: Tensor(b)).data
         cond = bb.condition_vector(20, None)
-        mults = [mask_multipliers(blk.scaler, m_tok, cfg.gamma) for blk in bb.blocks]
+        mults = [mask_multipliers(blk.scaler, Tensor(m_tok), cfg.gamma) for blk in bb.blocks]
         x = bb.blocks[0](bb.patchify(z), cond, mults[0]) + Tensor(b)
         x = bb.blocks[1](x, cond, mults[1])
         ref = untokenize(bb.head(layer_norm(x)), (2, 2, 2)).data
     np.testing.assert_array_equal(got, ref)
     with pytest.raises(ValueError):
-        bb.forward(z, 20, np.zeros((7, 16)), m_tok, None)
+        bb.forward(z, 20, m_tok, None, lambda x: Tensor(np.zeros((7, 16))))
 
 
 def test_gradient_reaches_conv_weights_through_injection():
@@ -201,5 +201,5 @@ def test_model_matches_manual_composition():
         x1 = bb.blocks[0](bb.patchify(z_t), cond, mults[0])
         mu, sigma = feature_stats(x1)
         feat = align(model.control.extract(z_masked, m), mu, sigma)
-        ref = bb.forward(z_t, 50, feat.data, m_tok, None).data
+        ref = bb.forward(z_t, 50, tokenize(m), None, lambda x: Tensor(feat.data)).data
     np.testing.assert_allclose(got, ref, atol=1e-12)

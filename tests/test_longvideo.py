@@ -18,9 +18,9 @@ from outpainter.longvideo import (
     match_lut,
     mean_variance_alignment,
     plan_clips,
-    quantize_u8,
     refine_clip,
 )
+from outpainter.util import quantize_u8
 
 
 def brute_force_lut(source_vals, template_vals):

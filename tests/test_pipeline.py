@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from outpainter.backbone import BackboneConfig
-from outpainter.codec import blend_given_region, downsample_mask, encode
+from outpainter.codec import downsample_mask, encode
 from outpainter.diffusion import SamplerConfig, make_schedule
 from outpainter.model import OutpaintingModel
 from outpainter.pipeline import (EvalMaskSpec, make_eval_mask, masked_input,
@@ -89,7 +89,7 @@ def test_blend_checkerboard_oracle():
         for j in range(4):
             for s in range(2):
                 M[i, j, s, 0] = (i + j + s) % 2
-    out = blend_given_region(gen, orig, M)
+    out = masked_input(orig, M, gen)
     for i in range(4):
         for j in range(4):
             for s in range(2):

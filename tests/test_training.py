@@ -1,9 +1,12 @@
 """Loss definitions, masking policy, synthetic data, and the train loop."""
 
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from outpainter.backbone import BackboneConfig
 from outpainter.diffusion import make_schedule
@@ -286,6 +289,54 @@ def test_parse_train_config():
         parse_train_config("steps")
     with pytest.raises(ValueError):
         parse_train_config("shape=16x16")
+
+
+@pytest.mark.parametrize("line", ["restricted=on", "restricted=2", "restricted=maybe",
+                                  "steps=-5", "steps=0", "lr=-1", "lr=0", "lr=inf",
+                                  "text_drop=nan", "text_drop=1.5", "momentum=5",
+                                  "beta=nan", "n_heads=0", "control_hidden=0",
+                                  "shape=0x16x8", "steps=1e3"])
+def test_parse_train_config_rejects_unusable_values(line):
+    with pytest.raises(ValueError, match=r"^line 2: bad \w+ value"):
+        parse_train_config("seed=1\n" + line + "\n")
+
+
+_BOOL_SPELLINGS = {True: ("1", "true", "Yes", "TRUE"), False: ("0", "false", "No", "FALSE")}
+
+
+@st.composite
+def train_configs(draw):
+    """A valid TrainConfig and one text spelling of it."""
+    pos = st.integers(1, 64)
+    unit = st.floats(0.0, 1.0)
+    cfg = TrainConfig(
+        shape=(draw(pos), draw(pos), draw(pos)), steps=draw(pos),
+        lr=draw(st.floats(1e-9, 1e3)), beta=draw(st.floats(0.0, 10.0)),
+        t_latent=draw(st.integers(0, 1000)), gamma=draw(st.floats(0.0, 2.0)),
+        seed=draw(st.integers(0, 2**31)), n_blocks=draw(st.integers(2, 8)),
+        d_model=draw(pos), n_heads=draw(pos), control_hidden=draw(pos),
+        text_drop=draw(unit), momentum=draw(unit), restricted=draw(st.booleans()))
+    lines = []
+    for f in draw(st.permutations(fields(TrainConfig))):
+        val = getattr(cfg, f.name)
+        if f.type is tuple:
+            text = draw(st.sampled_from("xX")).join(map(str, val))
+        elif f.type is bool:
+            text = draw(st.sampled_from(_BOOL_SPELLINGS[val]))
+        else:
+            text = repr(val)
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        comment = draw(st.sampled_from(["", "  # note", "#"]))
+        lines.append(f"{pad}{f.name}{pad}={pad}{text}{comment}")
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# comment", "   "])))
+    return cfg, "\n".join(lines)
+
+
+@given(train_configs())
+def test_parse_train_config_round_trip(case):
+    cfg, text = case
+    assert parse_train_config(text) == cfg
 
 
 def test_train_loop_deterministic_and_logs():
