@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import Linear, Module, layer_norm, param, sinusoid_table
-from .tensor import Tensor
+from .tensor import Tensor, stack
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,9 @@ class BackboneConfig:
     t_dim: int = 128
 
     def __post_init__(self):
+        for name in ("d_model", "n_heads", "mlp_ratio", "d_latent", "t_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
         if self.gamma < 0:
@@ -42,10 +45,13 @@ def tokenize(z):
 
 
 def untokenize(tokens, grid: tuple):
-    """Inverse of tokenize given the (h, w, s) grid."""
+    """Inverse of tokenize given the (h, w, s) grid; leading axes of a
+    (..., h*w*s, d) batch of sequences are kept in front."""
     h, w, s = grid
-    d = tokens.shape[-1]
-    return tokens.reshape((s, h, w, d)).transpose((1, 2, 0, 3))
+    *lead, _, d = tokens.shape
+    n = len(lead)
+    return tokens.reshape(tuple(lead) + (s, h, w, d)).transpose(
+        tuple(range(n)) + (n + 1, n + 2, n, n + 3))
 
 
 @functools.lru_cache(maxsize=32)
@@ -89,6 +95,18 @@ def mask_multipliers(scaler: MaskScaler, m_tokens: Tensor, gamma: float) -> Tens
     return scaler(m_tokens) * gamma + 1.0
 
 
+@functools.lru_cache(maxsize=8)
+def _chunk_indices(lead: tuple, d: int) -> tuple:
+    """Flat take indices cutting an (*lead, 1, 4d) modulation into its four
+    (*lead, 1, d) chunks. Cached by shape, so the arrays are shared between
+    callers and read-only."""
+    rows = np.arange(int(np.prod(lead, dtype=np.int64)))[:, None] * (4 * d) + np.arange(d)
+    chunks = tuple((rows + k * d).reshape(lead + (1, d)) for k in range(4))
+    for c in chunks:
+        c.flags.writeable = False
+    return chunks
+
+
 class Attention(Module):
     def __init__(self, rng, d_model: int, n_heads: int):
         self.n_heads = n_heads
@@ -99,19 +117,29 @@ class Attention(Module):
         self.wo = Linear(rng, d_model, d_model)
 
     def __call__(self, x: Tensor, multipliers: Tensor) -> Tensor:
-        L, d = x.shape
+        """(..., L, d) tokens and (L, 1) key multipliers -> (..., L, d).
+
+        Leading axes hold independent sequences that share the multipliers.
+        """
+        *lead, L, d = x.shape
+        lead = tuple(lead)
         if multipliers.shape != (L, 1):
             raise ValueError(f"multipliers shape {multipliers.shape} != {(L, 1)}")
         q = self.wq(x)
         k = self.wk(x) * multipliers  # per-token key scaling, uniform over channels
         v = self.wv(x)
+        n = len(lead)
+        # (..., L, heads, d_head) <-> (..., heads, L, d_head)
+        swap = tuple(range(n)) + (n + 1, n, n + 2)
 
         def heads(y):
-            return y.reshape((L, self.n_heads, self.d_head)).transpose((1, 0, 2))
+            return y.reshape(lead + (L, self.n_heads, self.d_head)).transpose(swap)
 
         q, k, v = heads(q), heads(k), heads(v)
-        attn = (q @ k.transpose((0, 2, 1))).softmax(axis=-1, scale=1.0 / np.sqrt(self.d_head))
-        out = (attn @ v).transpose((1, 0, 2)).reshape((L, d))
+        k_t = k.transpose(tuple(range(n)) + (n, n + 2, n + 1))
+        # the score array is a temporary, so softmax works in its buffer
+        attn = (q @ k_t).softmax(axis=-1, scale=1.0 / np.sqrt(self.d_head), reuse_input=True)
+        out = (attn @ v).transpose(swap).reshape(lead + (L, d))
         return self.wo(out)
 
 
@@ -132,10 +160,14 @@ class Block(Module):
         self.d_model = d
 
     def __call__(self, x: Tensor, cond: Tensor, multipliers: Tensor) -> Tensor:
+        """cond: (..., d), one conditioning vector per sequence; x: the
+        (..., L, d) sequences, or one (L, d) sequence all of them share."""
         d = self.d_model
-        mod = self.ada(cond.reshape((1, d)))
-        shift1, scale1 = mod.take(np.arange(d)), mod.take(np.arange(d, 2 * d))
-        shift2, scale2 = mod.take(np.arange(2 * d, 3 * d)), mod.take(np.arange(3 * d, 4 * d))
+        lead = cond.shape[:-1]
+        # one row per matmul keeps each sequence's modulation bit-identical
+        # to an unbatched call
+        mod = self.ada(cond.reshape(lead + (1, d)))
+        shift1, scale1, shift2, scale2 = (mod.take(i) for i in _chunk_indices(lead, d))
 
         h = layer_norm(x) * (scale1 + 1.0) + shift1
         x = x + self.attn(h, multipliers)
@@ -158,9 +190,14 @@ class Backbone(Module):
         self.head = Linear(rng, d, cfg.d_latent)
 
     def condition_vector(self, t: int, text_embed) -> Tensor:
-        """Timestep features plus the text (or learned null) embedding."""
+        """Timestep features plus the text (or learned null) embedding.
+
+        A list of embeddings gives one (len, d_model) row per entry.
+        """
         tv = Tensor(sinusoid_table([t], self.cfg.t_dim))
         c = self.t_fc2(self.t_fc1(tv).tanh()).reshape((self.cfg.d_model,))
+        if isinstance(text_embed, list):
+            return c + stack([self.null_embed if e is None else e for e in text_embed])
         if text_embed is None:
             return c + self.null_embed
         return c + text_embed
@@ -170,25 +207,40 @@ class Backbone(Module):
         grid = z.shape[:3]
         return self.embed(tokenize(Tensor(z))) + Tensor(position_encoding(grid, self.cfg.d_model))
 
-    def forward(self, z_t, t: int, m_tokens, text_embed, inject_fn=None) -> Tensor:
+    def multipliers(self, m_tokens) -> list:
+        """Each block's (h*w*s, 1) key multipliers 1 + gamma*F(m).
+
+        m_tokens: the (h*w*s, 1) latent mask in token order. The multipliers
+        depend on the mask alone, so one list serves every step of a
+        trajectory.
+        """
+        m_tokens = Tensor(m_tokens)
+        if m_tokens.ndim != 2 or m_tokens.shape[1] != 1:
+            raise ValueError(f"token mask shape {m_tokens.shape} is not (h*w*s, 1)")
+        return [mask_multipliers(b.scaler, m_tokens, self.cfg.gamma) for b in self.blocks]
+
+    def forward(self, z_t, t: int, multipliers: list, text_embed, inject_fn=None) -> Tensor:
         """Predict epsilon for z_t, an (h, w, s, d_latent) latent array.
 
-        m_tokens: the (h*w*s, 1) latent mask in token order. Conditions
+        multipliers: this mask's multipliers(m_tokens). text_embed: one
+        (d_model,) embedding, None for the learned null embedding, or a
+        list of these; a list runs one sequence per entry over the same
+        z_t in one pass and returns (len, h, w, s, d_latent). Conditions
         enter once, after block 1: inject_fn receives that block's output
-        and returns the (h*w*s, d_model) sequence added to it (the control
+        and returns the same-shaped sequence added to it (the control
         branch aligns its features to the live block-1 statistics there).
         """
+        if len(multipliers) != len(self.blocks):
+            raise ValueError(f"{len(multipliers)} multiplier sets for {len(self.blocks)} blocks")
         grid = z_t.shape[:3]
-        m_tokens = Tensor(m_tokens)
         cond = self.condition_vector(t, text_embed)
-        mults = [mask_multipliers(b.scaler, m_tokens, self.cfg.gamma) for b in self.blocks]
 
-        x = self.blocks[0](self.patchify(z_t), cond, mults[0])
+        x = self.blocks[0](self.patchify(z_t), cond, multipliers[0])
         if inject_fn is not None:
             inj = inject_fn(x)
             if inj.shape != x.shape:
                 raise ValueError(f"injected shape {inj.shape} != token shape {x.shape}")
             x = x + inj
-        for block, mult in zip(self.blocks[1:], mults[1:]):
+        for block, mult in zip(self.blocks[1:], multipliers[1:]):
             x = block(x, cond, mult)
         return untokenize(self.head(layer_norm(x)), grid)

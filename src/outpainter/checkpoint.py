@@ -9,6 +9,8 @@ array ends where the file does.
 
 Checkpoints are self-describing: model files carry `meta/...` scalar
 entries holding the architecture so loading needs no side channel.
+Each must be a finite scalar, and an integral one where the field is an
+integer.
 """
 
 from dataclasses import fields
@@ -22,7 +24,7 @@ from .model import OutpaintingModel
 def save_arrays(path: str, named) -> None:
     """Write name -> array pairs (dict or pair iterable).
 
-    Names must be space-free and unique.
+    Names must be non-empty ASCII without whitespace, and unique.
     """
     items = named.items() if isinstance(named, dict) else named
     seen = set()
@@ -30,7 +32,7 @@ def save_arrays(path: str, named) -> None:
     blobs = []
     offset = 0
     for name, arr in items:
-        if " " in name or "\n" in name or not name:
+        if not name or not name.isascii() or any(c.isspace() for c in name):
             raise ValueError(f"bad array name {name!r}")
         if name in seen:
             raise ValueError(f"duplicate array name {name!r}")
@@ -94,14 +96,38 @@ def save_model(path: str, model: OutpaintingModel) -> None:
     save_arrays(path, named)
 
 
+def _pop_meta(arrays: dict, path: str, name: str, kind: type):
+    """Remove meta/<name> from arrays and return it as a `kind` value."""
+    key = f"meta/{name}"
+    if key not in arrays:
+        raise ValueError(f"{path}: missing checkpoint metadata {key!r}")
+    a = arrays.pop(key)
+    if a.shape != ():
+        raise ValueError(f"{path}: {key} has shape {a.shape}, expected a scalar")
+    value = float(a)
+    if not np.isfinite(value) or (kind is int and not value.is_integer()):
+        raise ValueError(f"{path}: {key} = {value!r} is not a finite {kind.__name__}")
+    return kind(value)
+
+
 def load_model(path: str) -> OutpaintingModel:
     arrays = load_arrays(path)
+    kwargs = {f.name: _pop_meta(arrays, path, f.name, f.type) for f in fields(BackboneConfig)}
+    control_hidden = _pop_meta(arrays, path, "control_hidden", int)
+    if control_hidden < 1:
+        raise ValueError(f"{path}: meta/control_hidden = {control_hidden} is not >= 1")
     try:
-        kwargs = {f.name: f.type(arrays.pop(f"meta/{f.name}")) for f in fields(BackboneConfig)}
-        control_hidden = int(arrays.pop("meta/control_hidden"))
-    except KeyError as e:
-        raise ValueError(f"{path}: missing checkpoint metadata {e}") from None
-    model = OutpaintingModel(BackboneConfig(**kwargs), seed=0, control_hidden=control_hidden)
+        cfg = BackboneConfig(**kwargs)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    # each of these sizes is the length of some stored array's axis (the
+    # embedding, modulation, MLP, timestep and control weights), so a larger
+    # one is refused before the model is allocated
+    longest = max((d for a in arrays.values() for d in a.shape), default=0)
+    if (max(4, cfg.mlp_ratio) * cfg.d_model > longest or cfg.n_blocks > len(arrays)
+            or max(cfg.d_latent, cfg.t_dim, control_hidden) > longest):
+        raise ValueError(f"{path}: meta/ sizes exceed the stored arrays")
+    model = OutpaintingModel(cfg, seed=0, control_hidden=control_hidden)
     params = dict(model.named_params())
     if set(params) != set(arrays):
         missing = set(params) ^ set(arrays)

@@ -68,7 +68,8 @@ class ControlBranch(Module):
 
 
 def feature_stats(features: Tensor, flow_gradient: bool = False):
-    """Per-channel mean/std of a token sequence, as plain arrays by default.
+    """Per-channel mean/std over the token axis of (..., L, d) sequences,
+    each (..., 1, d), as constants by default.
 
     The alignment target comes from the live block-1 output; blocking its
     gradient keeps the conditioning branch from steering the denoiser
@@ -76,20 +77,20 @@ def feature_stats(features: Tensor, flow_gradient: bool = False):
     path differentiable end to end.
     """
     if flow_gradient:
-        mu = features.mean(axes=0)
+        mu = features.mean(axes=-2, keepdims=True)
         d = features - mu
         # variance floor keeps sqrt differentiable on degenerate channels
-        sigma = (d * d).mean(axes=0).clamp(lo=1e-12) ** 0.5
+        sigma = (d * d).mean(axes=-2, keepdims=True).clamp(lo=1e-12) ** 0.5
         return mu, sigma
-    return Tensor(features.data.mean(axis=0)), Tensor(features.data.std(axis=0))
+    return (Tensor(features.data.mean(axis=-2, keepdims=True)),
+            Tensor(features.data.std(axis=-2, keepdims=True)))
 
 
-def align(features: Tensor, mu_m, sigma_m, eps_std: float = 1e-6) -> Tensor:
-    """Renormalize each channel to the target mean/std.
+def standardize(features: Tensor, eps_std: float = 1e-6) -> Tensor:
+    """Each channel of an (L, d) token sequence at zero mean and unit std.
 
-    out = (x - mean(x)) / max(std(x), eps_std) * sigma_m + mu_m, computed
-    over tokens. Constant channels hit the eps_std guard and land exactly
-    on mu_m.
+    out = (x - mean(x)) / max(std(x), eps_std), computed over tokens.
+    Constant channels hit the eps_std guard and come out exactly zero.
     """
     mu = features.mean(axes=0)
     d = features - mu
@@ -97,4 +98,11 @@ def align(features: Tensor, mu_m, sigma_m, eps_std: float = 1e-6) -> Tensor:
     # max(std, eps) computed as sqrt(max(var, eps^2)): same values, and the
     # sqrt stays differentiable when a channel is constant
     std = var.clamp(lo=eps_std * eps_std) ** 0.5
-    return d / std * sigma_m + mu_m
+    return d / std
+
+
+def align(features: Tensor, mu_m, sigma_m) -> Tensor:
+    """Renormalize each channel to the target mean/std:
+    standardize(features) * sigma_m + mu_m. Constant channels land exactly
+    on mu_m."""
+    return standardize(features) * sigma_m + mu_m

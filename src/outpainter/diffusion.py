@@ -83,29 +83,36 @@ def sample(model, z_masked: np.ndarray, m: np.ndarray, text_embed, config: Sampl
            sched: Schedule) -> np.ndarray:
     """Ancestral sampling with classifier-free guidance.
 
-    The model must expose predict_eps(z_t, t, z_masked, m, text_embed),
-    with text_embed=None selecting its learned null embedding. Each strided
-    step uses the effective alpha over the skipped range and adds noise
-    with the matching variance; after the smallest processed timestep the
-    clean estimate is returned directly instead of taking a final
-    stochastic step. Output is a pure function of (weights, inputs, seed).
-    A non-finite result raises NumericalError.
+    The model protocol: cond = model.condition(z_masked, m) is built once
+    per call, and model.predict_eps(z_t, t, z_masked, m, texts, cond=cond)
+    once per step, where texts is a list of embeddings (None selects the
+    model's learned null embedding) and the result stacks one epsilon per
+    entry. At cfg_scale 1 texts is [text_embed]; otherwise it is
+    [text_embed, None], so the guidance pair runs as one batched forward.
+    Each strided step uses the effective alpha over the skipped range and
+    adds noise with the matching variance; after the smallest processed
+    timestep the clean estimate is returned directly instead of taking a
+    final stochastic step. Output is a pure function of (weights, inputs,
+    seed). A non-finite result raises NumericalError.
     """
     rng = np.random.default_rng(config.seed)
     z = rng.standard_normal(z_masked.shape)
     ts = strided_timesteps(sched.T, config.steps)
     s = config.cfg_scale
+    texts = [text_embed] if s == 1.0 else [text_embed, None]
 
     with no_grad():
+        cond = model.condition(z_masked, m)
         for i, t in enumerate(ts):
             t = int(t)
-            eps_c = np.asarray(model.predict_eps(z, t, z_masked, m, text_embed))
-            if eps_c.shape != z.shape:
-                raise ValueError(f"model output shape {eps_c.shape} != latent shape {z.shape}")
+            eps = np.asarray(model.predict_eps(z, t, z_masked, m, texts, cond=cond))
+            if eps.shape != (len(texts),) + z.shape:
+                raise ValueError(f"model output shape {eps.shape} != "
+                                 f"{(len(texts),) + z.shape} for {len(texts)} embeddings")
             if s == 1.0:
-                eps_hat = eps_c
+                eps_hat = eps[0]
             else:
-                eps_u = np.asarray(model.predict_eps(z, t, z_masked, m, None))
+                eps_c, eps_u = eps
                 eps_hat = eps_u + s * (eps_c - eps_u)
 
             if i == len(ts) - 1:

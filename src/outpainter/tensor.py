@@ -14,9 +14,10 @@ Conventions:
     * gradients accumulate: calling backward twice doubles a leaf's ``.grad``
     * intermediate results never get a ``.grad``; the tape itself is kept,
       so backward can run again over the same graph
-    * tensors are immutable after creation, except ``.grad`` accumulation
-      and explicit parameter updates performed by an optimizer between
-      backward passes
+    * tensors are immutable after creation, except ``.grad`` accumulation,
+      explicit parameter updates performed by an optimizer between
+      backward passes, and ``softmax(reuse_input=True)``, which hands a
+      temporary's array to its result
     * a graph must stay confined to one thread during backward
 """
 
@@ -307,15 +308,19 @@ class Tensor:
             raise ValueError("mean over an empty reduction set")
         return self.sum(axes, keepdims) * (1.0 / n)
 
-    def softmax(self, axis: int = -1, scale: float = 1.0):
+    def softmax(self, axis: int = -1, scale: float = 1.0, reuse_input: bool = False):
         """Numerically stable softmax of ``x * scale`` along one axis.
 
         The same float operations as ``(x * scale).softmax(axis)``, done
-        in one new buffer: scale, subtract the max, exponentiate, divide
-        by the sum.
+        in one buffer: scale, subtract the max, exponentiate, divide by
+        the sum. By default the buffer is new. reuse_input=True computes
+        in this tensor's own array instead, which then holds the result:
+        only for a temporary that nothing reads again, made by an op
+        whose backward reads only its inputs (matmul does); softmax's
+        own backward reads only its output.
         """
         axis = axis % self.ndim
-        y = self.data * scale
+        y = np.multiply(self.data, scale, out=self.data if reuse_input else None)
         y -= y.max(axis=axis, keepdims=True)
         np.exp(y, out=y)
         y /= y.sum(axis=axis, keepdims=True)
@@ -365,6 +370,15 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
+    return out
+
+
+def stack(tensors) -> Tensor:
+    """Same-shape tensors joined along a new leading axis."""
+    ts = [_coerce(t) for t in tensors]
+    out = _node(np.stack([t.data for t in ts]), tuple(ts))
+    if out._parents:
+        out._bw = lambda g: tuple(g[i] if t.requires_grad else None for i, t in enumerate(ts))
     return out
 
 

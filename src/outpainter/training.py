@@ -148,7 +148,7 @@ def training_losses(model: OutpaintingModel, sample: TrainSample, loss_cfg: Loss
     z_t = q_sample(z0, sample.t, sample.eps, sched)
 
     text = None if sample.drop_text else model.text_vector()
-    eps_hat = model.eps_tensor(z_t, sample.t, z_masked, m, text)
+    eps_hat = model.eps_tensor(z_t, sample.t, model.condition(z_masked, m), text)
     l_eps = diffusion_loss(sample.eps, eps_hat)
     l_latent = None
     if sample.t < loss_cfg.t_latent and loss_cfg.beta > 0:

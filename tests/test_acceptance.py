@@ -66,8 +66,9 @@ def test_01_every_parameter_gradient_matches_finite_differences():
 
     def loss_value():
         total = None
+        cond = model.condition(zm, m)
         for text in (model.text_vector(), None):
-            eps_hat = model.eps_tensor(zt, t, zm, m, text)
+            eps_hat = model.eps_tensor(zt, t, cond, text)
             l_eps = diffusion_loss(eps, eps_hat)
             l_lat = latent_alignment_loss(predict_z0(zt, t, eps_hat, sched), z0)
             branch = total_loss(l_eps, l_lat, t, loss_cfg)
@@ -208,7 +209,8 @@ def test_03_feature_alignment_reproduces_block1_stats():
             captured.update(aligned=out.data, mu=mu.data, sigma=sigma.data)
             return out
 
-        model.backbone.forward(z_t, t, tokenize(m), None, inject_fn=inject_fn)
+        model.backbone.forward(z_t, t, model.backbone.multipliers(tokenize(m)), None,
+                               inject_fn=inject_fn)
         a = captured["aligned"]
         got_mu = a.mean(axis=0)
         got_sd = np.sqrt(((a - got_mu) ** 2).mean(axis=0))

@@ -1,5 +1,7 @@
 """Backbone structure, mask-driven attention, and gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,13 @@ def test_config_validation():
         BackboneConfig(gamma=-0.1)
     with pytest.raises(ValueError):
         BackboneConfig(n_blocks=1)
+
+
+def test_untokenize_keeps_leading_axes():
+    rng = np.random.default_rng(19)
+    z = rng.standard_normal((2, 3, 5, 4, 6))
+    tokens = np.stack([tokenize(zi) for zi in z])
+    np.testing.assert_array_equal(untokenize(tokens, (3, 5, 4)), z)
 
 
 def test_token_count_and_order():
@@ -166,6 +175,37 @@ def test_attention_multiplier_length_mismatch():
         attn(Tensor(np.zeros((4, 8))), Tensor(np.ones((3, 1))))
 
 
+def test_batched_attention_equals_per_slice():
+    rng = np.random.default_rng(17)
+    attn = Attention(rng, d_model=16, n_heads=4)
+    x = rng.standard_normal((3, 10, 16))
+    mult = Tensor(rng.uniform(0.5, 1.5, size=(10, 1)))
+    with no_grad():
+        got = attn(Tensor(x), mult).data
+        for i in range(3):
+            np.testing.assert_array_equal(got[i], attn(Tensor(x[i]), mult).data)
+
+
+def test_attention_keeps_one_score_array():
+    # at 464 tokens the (heads, L, L) scores dwarf everything else the call
+    # holds; softmax computes in their buffer instead of a second one
+    rng = np.random.default_rng(18)
+    L, d, heads = 464, 64, 4
+    attn = Attention(rng, d_model=d, n_heads=heads)
+    x, mult = Tensor(rng.standard_normal((L, d))), Tensor(np.ones((L, 1)))
+    score_bytes = heads * L * L * 8
+    with no_grad():
+        ref = attn(x, mult).data
+        tracemalloc.start()
+        try:
+            got = attn(x, mult).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    np.testing.assert_array_equal(got, ref)
+    assert peak < 1.5 * score_bytes, f"peak {peak / score_bytes:.2f} score arrays"
+
+
 def test_two_token_hand_computed_attention():
     # single head, d_k = 2, worked out scalar by scalar
     rng = np.random.default_rng(8)
@@ -265,8 +305,9 @@ def test_backbone_forward_shape_and_injection_zero():
     z = rng.standard_normal((2, 2, 2, 48))
     m_tok = rng.uniform(0, 1, size=(8, 1))
     with no_grad():
-        base = bb.forward(z, 10, m_tok, None).data
-        withzero = bb.forward(z, 10, m_tok, None, lambda x: Tensor(np.zeros((8, 16)))).data
+        base = bb.forward(z, 10, bb.multipliers(m_tok), None).data
+        withzero = bb.forward(z, 10, bb.multipliers(m_tok), None,
+                              lambda x: Tensor(np.zeros((8, 16)))).data
     assert base.shape == z.shape
     np.testing.assert_array_equal(base, withzero)
 
@@ -276,7 +317,8 @@ def test_backbone_injection_shape_mismatch():
     bb = Backbone(small_cfg(), rng)
     z = rng.standard_normal((2, 2, 2, 48))
     with pytest.raises(ValueError):
-        bb.forward(z, 10, np.ones((8, 1)), None, lambda x: Tensor(np.zeros((7, 16))))
+        bb.forward(z, 10, bb.multipliers(np.ones((8, 1))), None,
+                   lambda x: Tensor(np.zeros((7, 16))))
 
 
 def test_forward_rejects_mask_not_in_token_order():
@@ -285,7 +327,7 @@ def test_forward_rejects_mask_not_in_token_order():
     bb = Backbone(small_cfg(), rng)
     z = rng.standard_normal((2, 2, 2, 48))
     with pytest.raises(ValueError):
-        bb.forward(z, 10, np.ones((2, 2, 2, 1)), None)
+        bb.forward(z, 10, bb.multipliers(np.ones((2, 2, 2, 1))), None)
 
 
 def test_forward_rejects_injection_that_would_broadcast():
@@ -294,7 +336,8 @@ def test_forward_rejects_injection_that_would_broadcast():
     bb = Backbone(small_cfg(), rng)
     z = rng.standard_normal((2, 2, 2, 48))
     with pytest.raises(ValueError):
-        bb.forward(z, 10, np.ones((8, 1)), None, lambda x: Tensor(np.ones((1, 16))))
+        bb.forward(z, 10, bb.multipliers(np.ones((8, 1))), None,
+                   lambda x: Tensor(np.ones((1, 16))))
 
 
 def test_backbone_gamma_zero_equals_standard_everywhere():
@@ -303,8 +346,8 @@ def test_backbone_gamma_zero_equals_standard_everywhere():
     bb = Backbone(small_cfg(gamma=0.0), rng)
     z = rng.standard_normal((2, 2, 2, 48))
     with no_grad():
-        a = bb.forward(z, 3, rng.uniform(0, 1, (8, 1)), None).data
-        b = bb.forward(z, 3, rng.uniform(0, 1, (8, 1)), None).data
+        a = bb.forward(z, 3, bb.multipliers(rng.uniform(0, 1, (8, 1))), None).data
+        b = bb.forward(z, 3, bb.multipliers(rng.uniform(0, 1, (8, 1))), None).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -320,8 +363,8 @@ def test_backbone_end_to_end_gradient_check():
 
     def loss_fn():
         # both conditioning branches so every parameter participates
-        out_c = bb.forward(z, 100, m_tok, bb.text_embed)
-        out_u = bb.forward(z, 100, m_tok, None)
+        out_c = bb.forward(z, 100, bb.multipliers(m_tok), bb.text_embed)
+        out_u = bb.forward(z, 100, bb.multipliers(m_tok), None)
         return ((out_c - target) ** 2).mean() + ((out_u - target) ** 2).mean()
 
     _fd_check_params(loss_fn, bb.named_params(), sample_at_most=4,
@@ -337,6 +380,6 @@ def test_timestep_changes_output_through_conditioning():
     z = rng.standard_normal((2, 2, 2, 48))
     m = np.ones((8, 1))
     with no_grad():
-        a = bb.forward(z, 1, m, None).data
-        b = bb.forward(z, 900, m, None).data
+        a = bb.forward(z, 1, bb.multipliers(m), None).data
+        b = bb.forward(z, 900, bb.multipliers(m), None).data
     assert np.abs(a - b).max() > 1e-8

@@ -1,10 +1,16 @@
 """Checkpoint serialization round trips and error handling."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from outpainter.backbone import BackboneConfig
 from outpainter.checkpoint import load_arrays, load_model, save_arrays, save_model
+from outpainter.cli import entry
 from outpainter.model import OutpaintingModel
 
 
@@ -173,3 +179,108 @@ def test_trailing_data_byte_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(ValueError, match="1 data bytes after the last array"):
         load_arrays(str(path))
+
+
+def tiny_checkpoint(path):
+    save_model(str(path), OutpaintingModel(BackboneConfig(n_blocks=2, d_model=16, n_heads=2),
+                                           seed=0, control_hidden=8))
+
+
+def with_meta(path, name, value):
+    arrays = load_arrays(str(path))
+    arrays[f"meta/{name}"] = value
+    save_arrays(str(path), arrays)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("n_heads", 4.5, "meta/n_heads = 4.5 is not a finite int"),
+    ("n_blocks", np.array([2.0, 2.0]), r"meta/n_blocks has shape \(2,\), expected a scalar"),
+    ("gamma", np.nan, "meta/gamma = nan is not a finite float"),
+    ("d_model", np.inf, "meta/d_model = inf is not a finite int"),
+    ("control_hidden", 8.25, "meta/control_hidden = 8.25 is not a finite int"),
+    ("n_heads", 0.0, "n_heads must be >= 1"),
+    ("control_hidden", 0.0, "meta/control_hidden = 0 is not >= 1"),
+])
+def test_bad_meta_value_rejected(tmp_path, name, value, message):
+    path = tmp_path / "model.bin"
+    tiny_checkpoint(path)
+    with_meta(path, name, value)
+    with pytest.raises(ValueError, match=message):
+        load_model(str(path))
+
+
+def test_bad_meta_value_is_one_line_exit_2(tmp_path, capsys):
+    path = tmp_path / "model.bin"
+    tiny_checkpoint(path)
+    with_meta(path, "n_blocks", np.array([2.0, 2.0]))
+    seq = tmp_path / "seq"
+    assert entry(["synth", "--out", str(seq), "--shape", "8x8x2", "--seed", "0"]) == 0
+    assert entry(["outpaint", "--model", str(path), "--input", str(seq),
+                  "--out", str(tmp_path / "o"), "--mask-ratio", "0.5", "--steps", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "meta/n_blocks has shape (2,)" in err[0]
+
+
+# ---- parser properties ----------------------------------------------------------
+
+names = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=12)
+float_arrays = arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                      elements=st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(st.dictionaries(names, float_arrays, max_size=5))
+def test_array_round_trip_property(tmp_path_factory, named):
+    path = tmp_path_factory.mktemp("ck") / "ck.bin"
+    save_arrays(str(path), named)
+    back = load_arrays(str(path))
+    assert list(back) == list(named)
+    for name, a in named.items():
+        assert back[name].shape == a.shape
+        assert back[name].tobytes() == a.tobytes()
+
+
+@given(names.filter(lambda n: n != "x"), st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1d\x1e"))
+def test_names_with_whitespace_rejected(tmp_path_factory, name, blank):
+    path = tmp_path_factory.mktemp("ck") / "ck.bin"
+    with pytest.raises(ValueError):
+        save_arrays(str(path), {name[:1] + blank + name[1:]: np.zeros(1), "x": np.ones(1)})
+
+
+configs = st.builds(
+    lambda n_blocks, n_heads, head, gamma, ratio, half_t: BackboneConfig(
+        n_blocks=n_blocks, d_model=n_heads * head, n_heads=n_heads, gamma=gamma,
+        mlp_ratio=ratio, t_dim=2 * half_t),
+    st.integers(2, 3), st.integers(1, 3), st.integers(1, 4),
+    st.floats(0.0, 2.0), st.integers(1, 3), st.integers(1, 8))
+
+
+@given(configs, st.integers(1, 6))
+def test_model_round_trip_property(tmp_path_factory, cfg, hidden):
+    path = tmp_path_factory.mktemp("ck") / "model.bin"
+    model = OutpaintingModel(cfg, seed=0, control_hidden=hidden)
+    save_model(str(path), model)
+    loaded = load_model(str(path))
+    assert loaded.cfg == cfg and loaded.control_hidden == hidden
+    for (name, p), (name2, q) in zip(model.named_params(), loaded.named_params()):
+        assert name == name2 and p.data.tobytes() == q.data.tobytes()
+
+
+META = [f.name for f in fields(BackboneConfig)] + ["control_hidden"]
+meta_values = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                        st.integers(-2, 80).map(float),
+                        arrays(np.float64, st.integers(0, 2).map(lambda n: (n,))))
+
+
+@given(st.sampled_from(META), meta_values)
+def test_meta_value_loads_exactly_or_is_rejected(tmp_path_factory, name, value):
+    """A changed meta/ value either loads as exactly that value or is a
+    ValueError, never a rounded or truncated architecture."""
+    path = tmp_path_factory.mktemp("ck") / "model.bin"
+    tiny_checkpoint(path)
+    with_meta(path, name, value)
+    try:
+        model = load_model(str(path))
+    except ValueError:
+        return
+    got = model.control_hidden if name == "control_hidden" else getattr(model.cfg, name)
+    assert np.shape(value) == () and got == value

@@ -151,7 +151,7 @@ def test_inject_is_sum_and_validates():
     m_tok = rng.uniform(0, 1, size=(8, 1))
     b = rng.standard_normal((8, 16))
     with no_grad():
-        got = bb.forward(z, 20, m_tok, None, lambda x: Tensor(b)).data
+        got = bb.forward(z, 20, bb.multipliers(m_tok), None, lambda x: Tensor(b)).data
         cond = bb.condition_vector(20, None)
         mults = [mask_multipliers(blk.scaler, Tensor(m_tok), cfg.gamma) for blk in bb.blocks]
         x = bb.blocks[0](bb.patchify(z), cond, mults[0]) + Tensor(b)
@@ -159,7 +159,7 @@ def test_inject_is_sum_and_validates():
         ref = untokenize(bb.head(layer_norm(x)), (2, 2, 2)).data
     np.testing.assert_array_equal(got, ref)
     with pytest.raises(ValueError):
-        bb.forward(z, 20, m_tok, None, lambda x: Tensor(np.zeros((7, 16))))
+        bb.forward(z, 20, bb.multipliers(m_tok), None, lambda x: Tensor(np.zeros((7, 16))))
 
 
 def test_gradient_reaches_conv_weights_through_injection():
@@ -169,7 +169,7 @@ def test_gradient_reaches_conv_weights_through_injection():
     z_t = rng.standard_normal((2, 2, 2, 48))
     z_masked = rng.standard_normal((2, 2, 2, 48))
     m = rng.uniform(0, 1, size=(2, 2, 2, 1))
-    out = model.eps_tensor(z_t, 50, z_masked, m, None)
+    out = model.eps_tensor(z_t, 50, model.condition(z_masked, m), None)
     (out * out).mean().backward()
     for name, p in model.control.named_params():
         assert p.grad is not None and np.abs(p.grad).max() > 0, f"no gradient on {name}"
@@ -201,5 +201,25 @@ def test_model_matches_manual_composition():
         x1 = bb.blocks[0](bb.patchify(z_t), cond, mults[0])
         mu, sigma = feature_stats(x1)
         feat = align(model.control.extract(z_masked, m), mu, sigma)
-        ref = bb.forward(z_t, 50, tokenize(m), None, lambda x: Tensor(feat.data)).data
+        ref = bb.forward(z_t, 50, bb.multipliers(tokenize(m)), None,
+                         lambda x: Tensor(feat.data)).data
     np.testing.assert_allclose(got, ref, atol=1e-12)
+
+
+def test_batched_eps_tensor_equals_per_embedding_calls():
+    cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2, gamma=0.5)
+    model = OutpaintingModel(cfg, seed=4, control_hidden=8)
+    rng = np.random.default_rng(12)
+    for _, p in model.named_params():
+        p.data = p.data + rng.normal(0.0, 0.05, p.data.shape)
+    z_t = rng.standard_normal((2, 2, 3, 48))
+    z_masked = rng.standard_normal((2, 2, 3, 48))
+    m = rng.uniform(0, 1, size=(2, 2, 3, 1))
+    texts = [model.text_vector(), None, rng.standard_normal(16)]
+    with no_grad():
+        cond = model.condition(z_masked, m)
+        got = model.eps_tensor(z_t, 70, cond, texts).data
+        assert got.shape == (3,) + z_t.shape
+        for k, text in enumerate(texts):
+            np.testing.assert_array_equal(got[k], model.eps_tensor(z_t, 70, cond, text).data)
+            np.testing.assert_array_equal(got[k], model.predict_eps(z_t, 70, z_masked, m, text))

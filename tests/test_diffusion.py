@@ -1,8 +1,13 @@
 """Schedule identities, forward/inverse noising, and sampler contracts."""
 
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from outpainter import backbone, control
+from outpainter.backbone import BackboneConfig
 from outpainter.diffusion import (
     SamplerConfig,
     make_schedule,
@@ -12,6 +17,7 @@ from outpainter.diffusion import (
     strided_timesteps,
 )
 from outpainter.errors import NumericalError
+from outpainter.model import OutpaintingModel
 from outpainter.tensor import Tensor
 
 
@@ -134,9 +140,12 @@ class _OracleModel:
         self.z0 = z0
         self.sched = sched
 
-    def predict_eps(self, z_t, t, z_masked, m, text_embed):
+    def condition(self, z_masked, m):
+        return None
+
+    def predict_eps(self, z_t, t, z_masked, m, texts, cond=None):
         ab = self.sched.alpha_bar_at(t)
-        return (z_t - np.sqrt(ab) * self.z0) / np.sqrt(1 - ab)
+        return np.stack([(z_t - np.sqrt(ab) * self.z0) / np.sqrt(1 - ab)] * len(texts))
 
 
 def test_sampler_oracle_recovers_z0_full_steps():
@@ -167,12 +176,17 @@ class _BranchModel:
         self.poison = poison
         self.uncond_calls = 0
 
-    def predict_eps(self, z_t, t, z_masked, m, text_embed):
-        if text_embed is None:
-            self.uncond_calls += 1
-            if self.poison:
-                return np.full_like(z_t, np.nan)
-        return self.inner.predict_eps(z_t, t, z_masked, m, text_embed)
+    def condition(self, z_masked, m):
+        return None
+
+    def predict_eps(self, z_t, t, z_masked, m, texts, cond=None):
+        out = self.inner.predict_eps(z_t, t, z_masked, m, texts)
+        for k, text in enumerate(texts):
+            if text is None:
+                self.uncond_calls += 1
+                if self.poison:
+                    out[k] = np.nan
+        return out
 
 
 def test_cfg_scale_one_skips_unconditional_branch():
@@ -217,7 +231,10 @@ def test_sampler_rejects_bad_model_shape():
     sched = make_schedule(T=10)
 
     class Bad:
-        def predict_eps(self, z_t, t, z_masked, m, text_embed):
+        def condition(self, z_masked, m):
+            return None
+
+        def predict_eps(self, z_t, t, z_masked, m, texts, cond=None):
             return np.zeros((1, 1, 1, 1))
 
     with pytest.raises(ValueError):
@@ -240,3 +257,83 @@ def test_sampler_non_finite_result_raises():
         sample(_BranchModel(z0, sched, poison=True), np.zeros_like(z0),
                np.zeros((2, 2, 1, 1)), "txt", SamplerConfig(steps=5, cfg_scale=3.0, seed=0),
                sched)
+
+
+# ---- the real model under the sampler --------------------------------------------
+
+
+def guided_model(seed=0):
+    """A small model moved off its zero init, so the text embedding reaches
+    the output and guidance changes the result."""
+    model = OutpaintingModel(BackboneConfig(n_blocks=2, d_model=16, n_heads=2), seed=seed,
+                             control_hidden=8)
+    rng = np.random.default_rng(seed)
+    for _, p in model.named_params():
+        p.data = p.data + rng.normal(0.0, 0.05, p.data.shape)
+    return model
+
+
+def sampler_inputs(seed=1):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((2, 2, 3, 48)), rng.uniform(0, 1, (2, 2, 3, 1))
+
+
+class _OneShot:
+    """Every branch of every step through the five-argument predict_eps,
+    which builds the condition afresh and runs one embedding per call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def condition(self, z_masked, m):
+        return None
+
+    def predict_eps(self, z_t, t, z_masked, m, texts, cond=None):
+        return np.stack([self.inner.predict_eps(z_t, t, z_masked, m, e) for e in texts])
+
+
+@pytest.mark.parametrize("cfg_scale", [1.0, 3.0])
+def test_sample_equals_one_shot_predictions(cfg_scale):
+    model = guided_model()
+    zm, m = sampler_inputs()
+    config = SamplerConfig(steps=4, cfg_scale=cfg_scale, seed=2)
+    sched = make_schedule(T=40)
+    got = sample(model, zm, m, model.text_vector(), config, sched)
+    want = sample(_OneShot(model), zm, m, model.text_vector(), config, sched)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_condition_built_once_per_sample(monkeypatch):
+    model = guided_model()
+    zm, m = sampler_inputs()
+    calls = {"extract": 0, "mask_multipliers": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(control.ControlBranch, "extract",
+                        counted("extract", control.ControlBranch.extract))
+    monkeypatch.setattr(backbone, "mask_multipliers",
+                        counted("mask_multipliers", backbone.mask_multipliers))
+    sample(model, zm, m, model.text_vector(), SamplerConfig(steps=5, cfg_scale=3.0, seed=0),
+           make_schedule(T=50))
+    assert calls == {"extract": 1, "mask_multipliers": model.cfg.n_blocks}
+
+
+def test_sample_matches_benchmark_reference_sampler():
+    """diffusion.sample against the benchmark's own reference sampler, which
+    calls the five-argument predict_eps; the benchmark file is only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    oracles = types.ModuleType("perfbench_oracles")
+    exec(compile(path.read_text(), str(path), "exec"), oracles.__dict__)
+    model = guided_model(seed=3)
+    zm, m = sampler_inputs(seed=4)
+    text = model.text_vector()
+    got = sample(model, zm, m, text, SamplerConfig(steps=3, cfg_scale=3.0, seed=5),
+                 make_schedule())
+    want = oracles.reference_sample(model.predict_eps, zm, m, text, 3, 3.0, 5,
+                                    oracles.alpha_bar())
+    oracles.check_close("sampler", got, want, 1e-9)

@@ -186,9 +186,12 @@ class SpyModel:
         self.inner = inner
         self.calls = []
 
-    def predict_eps(self, z_t, t, z_masked, m, text_embed=None):
+    def condition(self, z_masked, m):
+        return self.inner.condition(z_masked, m)
+
+    def predict_eps(self, z_t, t, z_masked, m, text_embed=None, cond=None):
         self.calls.append((z_masked.copy(), m.copy()))
-        return self.inner.predict_eps(z_t, t, z_masked, m, text_embed)
+        return self.inner.predict_eps(z_t, t, z_masked, m, text_embed, cond=cond)
 
     def text_vector(self):
         return self.inner.text_vector()
