@@ -80,11 +80,12 @@ def position_encoding(grid: tuple, d_model: int) -> np.ndarray:
 
 
 class MaskScaler(Module):
-    """Bounded per-token scalar feature of the mask value, in [-1, 1]."""
+    """Bounded per-token scalar feature of the mask value, in [-1, 1],
+    through 16 hidden units."""
 
-    def __init__(self, rng, hidden: int = 16):
-        self.fc1 = Linear(rng, 1, hidden)
-        self.fc2 = Linear(rng, hidden, 1)
+    def __init__(self, rng):
+        self.fc1 = Linear(rng, 1, 16)
+        self.fc2 = Linear(rng, 16, 1)
 
     def __call__(self, m_tokens: Tensor) -> Tensor:
         return self.fc2(self.fc1(m_tokens).tanh()).tanh()

@@ -21,7 +21,7 @@ from .metrics import psnr, ssim
 from .model import OutpaintingModel
 from .pipeline import EvalMaskSpec, make_eval_mask, outpaint_long, outpaint_video
 from .training import parse_train_config, synth_video, train
-from .util import from_u8, to_u8
+from .util import from_u8, parse_shape, to_u8
 
 
 class UsageError(Exception):
@@ -31,16 +31,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _parse_shape(val: str) -> tuple:
-    dims = val.lower().split("x")
-    if len(dims) != 3:
-        raise UsageError(f"shape must be HxWxS, got {val!r}")
-    try:
-        return tuple(int(d) for d in dims)
-    except ValueError:
-        raise UsageError(f"shape must be HxWxS integers, got {val!r}") from None
 
 
 def _add_sampler_flags(p):
@@ -143,9 +133,10 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_synth(args) -> None:
-    H, W, S = _parse_shape(args.shape)
-    if min(H, W, S) < 1:
-        raise UsageError(f"shape dimensions must be positive, got {args.shape}")
+    try:
+        H, W, S = parse_shape(args.shape)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     video = synth_video(np.random.default_rng(args.seed), H, W, S)
     save_frames(args.out, to_u8(video))
 

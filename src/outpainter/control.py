@@ -51,7 +51,7 @@ class Conv3x3(Module):
 class ControlBranch(Module):
     """Three bounded conv layers over (Z_masked, m), projected to tokens."""
 
-    def __init__(self, rng, d_latent: int = 48, d_model: int = 64, hidden: int = 16):
+    def __init__(self, rng, d_latent: int, d_model: int, hidden: int):
         self.conv1 = Conv3x3(rng, d_latent + 1, hidden)
         self.conv2 = Conv3x3(rng, hidden, hidden)
         self.conv3 = Conv3x3(rng, hidden, hidden)
@@ -86,18 +86,18 @@ def feature_stats(features: Tensor, flow_gradient: bool = False):
             Tensor(features.data.std(axis=-2, keepdims=True)))
 
 
-def standardize(features: Tensor, eps_std: float = 1e-6) -> Tensor:
+def standardize(features: Tensor) -> Tensor:
     """Each channel of an (L, d) token sequence at zero mean and unit std.
 
-    out = (x - mean(x)) / max(std(x), eps_std), computed over tokens.
-    Constant channels hit the eps_std guard and come out exactly zero.
+    out = (x - mean(x)) / max(std(x), 1e-6), computed over tokens.
+    Constant channels hit the 1e-6 guard and come out exactly zero.
     """
     mu = features.mean(axes=0)
     d = features - mu
     var = (d * d).mean(axes=0)
-    # max(std, eps) computed as sqrt(max(var, eps^2)): same values, and the
+    # max(std, 1e-6) computed as sqrt(max(var, 1e-6^2)): same values, and the
     # sqrt stays differentiable when a channel is constant
-    std = var.clamp(lo=eps_std * eps_std) ** 0.5
+    std = var.clamp(lo=1e-6 * 1e-6) ** 0.5
     return d / std
 
 

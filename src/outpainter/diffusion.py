@@ -36,8 +36,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be positive, got {self.steps}")
-        if self.cfg_scale < 0:
-            raise ValueError(f"cfg_scale must be >= 0, got {self.cfg_scale}")
+        if not (np.isfinite(self.cfg_scale) and self.cfg_scale >= 0):
+            raise ValueError(f"cfg_scale must be finite and >= 0, got {self.cfg_scale}")
 
 
 def make_schedule(T: int = 1000, beta_start: float = 1e-4, beta_end: float = 0.02) -> Schedule:

@@ -31,7 +31,7 @@ def save_ppm(path: str, frame: np.ndarray) -> None:
     H, W, _ = frame.shape
     with open(path, "wb") as f:
         f.write(f"P6\n{W} {H}\n255\n".encode("ascii"))
-        f.write(np.ascontiguousarray(frame).tobytes())
+        f.write(np.ascontiguousarray(frame))
 
 
 def load_ppm(path: str) -> np.ndarray:

@@ -19,8 +19,6 @@ from .util import quantize_u8, round_half_away
 @dataclass(frozen=True)
 class ClipPlan:
     ranges: tuple  # ((start, end), ...) over [0, S_l)
-    S: int
-    K: int
 
 
 def plan_clips(S_l: int, S: int, K: int) -> ClipPlan:
@@ -40,7 +38,7 @@ def plan_clips(S_l: int, S: int, K: int) -> ClipPlan:
         if nxt + S > S_l:
             nxt = S_l - S
         starts.append(nxt)
-    return ClipPlan(ranges=tuple((s, s + S) for s in starts), S=S, K=K)
+    return ClipPlan(ranges=tuple((s, s + S) for s in starts))
 
 
 def build_condition(prev_clip_out: np.ndarray, cur_masked: np.ndarray,

@@ -3,6 +3,7 @@
 import numpy as np
 
 PSNR_CAP = 99.0
+SSIM_WINDOW = 8  # side of ssim's non-overlapping square windows
 
 
 def psnr(a: np.ndarray, b: np.ndarray, region: np.ndarray | None = None) -> float:
@@ -30,11 +31,11 @@ def psnr(a: np.ndarray, b: np.ndarray, region: np.ndarray | None = None) -> floa
     return min(10.0 * np.log10(1.0 / mse), PSNR_CAP)
 
 
-def ssim(a: np.ndarray, b: np.ndarray, window: int = 8) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Single-scale SSIM, non-overlapping windows, averaged everywhere.
 
     Windows tile each frame from the top-left corner; ragged borders when
-    dimensions are not multiples of the window are ignored. Constants
+    dimensions are not multiples of SSIM_WINDOW are ignored. Constants
     C1=(0.01)^2, C2=(0.03)^2 assume the [0,1] range.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -42,15 +43,15 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 8) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     H, W, S, C = a.shape
-    if H < window or W < window:
-        raise ValueError(f"frames {H}x{W} smaller than the {window}x{window} window")
+    if H < SSIM_WINDOW or W < SSIM_WINDOW:
+        raise ValueError(f"frames {H}x{W} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
     c1, c2 = 0.01 ** 2, 0.03 ** 2
-    nh, nw = H // window, W // window
+    nh, nw = H // SSIM_WINDOW, W // SSIM_WINDOW
 
-    # (nh, nw, S, C, window, window) window stacks
+    # (nh, nw, S, C, SSIM_WINDOW, SSIM_WINDOW) window stacks
     def windows(x):
-        x = x[:nh * window, :nw * window]
-        x = x.reshape(nh, window, nw, window, S, C)
+        x = x[:nh * SSIM_WINDOW, :nw * SSIM_WINDOW]
+        x = x.reshape(nh, SSIM_WINDOW, nw, SSIM_WINDOW, S, C)
         return x.transpose(0, 2, 4, 5, 1, 3)
 
     wa, wb = windows(a), windows(b)

@@ -53,12 +53,13 @@ class Linear(Module):
         return x @ self.W + self.b
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance. No affine."""
+def layer_norm(x: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance (variance floor
+    1e-5). No affine."""
     mu = x.mean(axes=-1, keepdims=True)
     d = x - mu
     var = (d * d).mean(axes=-1, keepdims=True)
-    return d / (var + eps) ** 0.5
+    return d / (var + 1e-5) ** 0.5
 
 
 def sinusoid_table(pos, dim: int) -> np.ndarray:

@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codec import PATCH, decode, downsample_mask, encode
-from .diffusion import Schedule, SamplerConfig, make_schedule, sample
+from .codec import band_mask, decode, downsample_mask, encode, masked_input
+from .diffusion import Schedule, SamplerConfig, sample
 from .longvideo import assemble, build_condition, plan_clips, refine_clip
 from .util import from_u8, round_half_away, to_u8
 
@@ -39,49 +39,29 @@ def make_eval_mask(spec: EvalMaskSpec, H: int, W: int, S: int) -> np.ndarray:
     extent = W if spec.direction == "horizontal" else H
     total = int(round_half_away(spec.ratio * extent))
     first = total // 2
-    second = total - first
     if first < 1:
         raise ValueError(f"ratio {spec.ratio} leaves no generated band on one side")
     if total >= extent:
         raise ValueError(f"ratio {spec.ratio} leaves no given region")
-    M = np.zeros((H, W, S, 1), dtype=np.float64)
-    if spec.direction == "horizontal":
-        M[:, first:W - second] = 1.0
-    else:
-        M[first:H - second, :] = 1.0
-    return M
-
-
-def masked_input(video: np.ndarray, M: np.ndarray, fill=0.5) -> np.ndarray:
-    """Keep given pixels (M == 1) bit-exactly and take `fill` everywhere
-    else: mid-gray by default, or any value or video of the same shape."""
-    if M.shape != video.shape[:3] + (1,):
-        raise ValueError(f"mask shape {M.shape} != {video.shape[:3] + (1,)}")
-    return np.where(M == 1.0, video, fill)
+    return band_mask(H, W, S, spec.direction == "horizontal", first, total - first)
 
 
 def _check_video(video: np.ndarray, M: np.ndarray) -> None:
     if video.ndim != 4 or video.shape[3] != 3:
         raise ValueError(f"expected (H, W, S, 3) video, got {video.shape}")
-    H, W = video.shape[:2]
-    if H % PATCH or W % PATCH:
-        raise ValueError(f"frame size {H}x{W} not divisible by the patch size {PATCH}")
     if M.shape != video.shape[:3] + (1,):
         raise ValueError(f"mask shape {M.shape} != {video.shape[:3] + (1,)}")
     if not np.isin(M, (0.0, 1.0)).all():
         raise ValueError("pixel mask must be binary")
 
 
-def outpaint_video(model, video: np.ndarray, M: np.ndarray,
-                   config: SamplerConfig | None = None,
-                   sched: Schedule | None = None) -> np.ndarray:
+def outpaint_video(model, video: np.ndarray, M: np.ndarray, config: SamplerConfig,
+                   sched: Schedule) -> np.ndarray:
     """Outpaint one clip: mask, encode, sample, decode, blend.
 
     video: (H, W, S, 3) floats in [0,1]; M: (H, W, S, 1) binary given-region
     mask. The given region of the result is the input bit-exact.
     """
-    config = config if config is not None else SamplerConfig()
-    sched = sched if sched is not None else make_schedule()
     video = np.asarray(video, dtype=np.float64)
     _check_video(video, M)
     x_masked = masked_input(video, M)
@@ -91,9 +71,7 @@ def outpaint_video(model, video: np.ndarray, M: np.ndarray,
 
 
 def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: int,
-                  config: SamplerConfig | None = None,
-                  sched: Schedule | None = None,
-                  refine: bool = True) -> np.ndarray:
+                  config: SamplerConfig, sched: Schedule, refine: bool = True) -> np.ndarray:
     """Outpaint a long video clip by clip, stitched with `assemble`.
 
     Each clip after the first takes its first K frames verbatim from the
@@ -102,8 +80,6 @@ def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: in
     has the given pixels restored. Overlapping frames keep the earliest
     clip's pixels. Returns a uint8 video of the full length.
     """
-    config = config if config is not None else SamplerConfig()
-    sched = sched if sched is not None else make_schedule()
     if video_u8.dtype != np.uint8:
         raise ValueError(f"long-video input must be uint8, got {video_u8.dtype}")
     _check_video(video_u8, M)

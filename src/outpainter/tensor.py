@@ -242,18 +242,13 @@ class Tensor:
             out._bw = lambda g: (g * s,)
         return out
 
-    def clamp(self, lo: float | None = None, hi: float | None = None):
-        """Clip values to [lo, hi]; gradient is identity inside the bounds
-        (boundary counts as inside) and zero outside."""
+    def clamp(self, lo: float):
+        """Clip values from below at lo; gradient is identity at or above
+        lo (the boundary counts as inside) and zero below."""
         x = self.data
-        out_data = np.clip(x, lo, hi)
-        out = _node(out_data, (self,))
+        out = _node(np.clip(x, lo, None), (self,))
         if out._parents:
-            inside = np.ones_like(x, dtype=bool)
-            if lo is not None:
-                inside &= x >= lo
-            if hi is not None:
-                inside &= x <= hi
+            inside = x >= lo
             out._bw = lambda g: (g * inside,)
         return out
 

@@ -11,13 +11,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .codec import PATCH, downsample_mask, encode
+from .codec import PATCH, band_mask, downsample_mask, encode, masked_input
 from .diffusion import Schedule, make_schedule, predict_z0, q_sample
 from .errors import NumericalError
 from .model import OutpaintingModel
-from .pipeline import masked_input
 from .tensor import Tensor, reduce_stats
-from .util import round_half_away
+from .util import parse_shape, round_half_away
 
 
 @dataclass(frozen=True)
@@ -83,19 +82,7 @@ def sample_training_mask(H: int, W: int, S: int, rng: np.random.Generator) -> np
     extent = W if horizontal else H
     total = round_half_away(r * extent)
     first = min(round_half_away(u * r * extent), total)
-    second = total - first
-    plane = np.ones((H, W))
-    if horizontal:
-        if first:
-            plane[:, :first] = 0.0
-        if second:
-            plane[:, W - second:] = 0.0
-    else:
-        if first:
-            plane[:first, :] = 0.0
-        if second:
-            plane[H - second:, :] = 0.0
-    return np.repeat(plane[:, :, None, None], S, axis=2)
+    return band_mask(H, W, S, horizontal, first, total - first)
 
 
 def synth_video(rng: np.random.Generator, H: int, W: int, S: int,
@@ -209,10 +196,10 @@ _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 
 def _parse_value(key: str, kind: type, val: str):
     if kind is tuple:
-        dims = tuple(int(v) for v in val.lower().split("x"))
-        if len(dims) != 3 or min(dims) < 1:
-            raise ValueError("must be HxWxS with positive sizes")
-        return dims
+        H, W, S = parse_shape(val)
+        if H % PATCH or W % PATCH:
+            raise ValueError(f"H and W must be multiples of the patch size {PATCH}")
+        return H, W, S
     if kind is bool:
         if val.lower() not in _BOOLS:
             raise ValueError(f"must be one of {', '.join(_BOOLS)}")
@@ -247,12 +234,9 @@ def parse_train_config(text: str) -> TrainConfig:
 
 
 def train(model: OutpaintingModel, cfg: TrainConfig, sched: Schedule | None = None,
-          videos=None, log=None) -> list:
-    """Run the loop; returns per-step loss dicts. Deterministic under seed.
-
-    videos: optional fixed list cycled through instead of fresh synthetic
-    draws (used for overfitting runs).
-    """
+          log=None) -> list:
+    """Run the loop on fresh synthetic draws; returns per-step loss dicts.
+    Deterministic under seed."""
     if sched is None:
         sched = make_schedule()
     rng = np.random.default_rng(cfg.seed)
@@ -261,10 +245,7 @@ def train(model: OutpaintingModel, cfg: TrainConfig, sched: Schedule | None = No
     loss_cfg = LossConfig(beta=cfg.beta, t_latent=cfg.t_latent)
     history = []
     for step in range(cfg.steps):
-        if videos is None:
-            video = synth_video(rng, H, W, S)
-        else:
-            video = videos[step % len(videos)]
+        video = synth_video(rng, H, W, S)
         mask = sample_training_mask(H, W, S, rng)
         t = int(rng.integers(1, sched.T + 1))
         eps = rng.standard_normal((H // PATCH, W // PATCH, S, 3 * PATCH * PATCH))

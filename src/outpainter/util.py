@@ -25,3 +25,14 @@ def to_u8(x: np.ndarray) -> np.ndarray:
 def from_u8(u: np.ndarray) -> np.ndarray:
     """0..255 integers -> [0,1] floats."""
     return np.asarray(u, dtype=np.float64) / 255.0
+
+
+def parse_shape(text: str) -> tuple:
+    """'HxWxS' -> (H, W, S), each a positive integer; ValueError otherwise."""
+    try:
+        dims = tuple(int(d) for d in text.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"shape must be HxWxS integers, got {text!r}") from None
+    if len(dims) != 3 or min(dims) < 1:
+        raise ValueError(f"shape must be HxWxS with positive sizes, got {text!r}")
+    return dims

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from outpainter import pipeline
 from outpainter.backbone import BackboneConfig
 from outpainter.checkpoint import load_model, save_model
 from outpainter.cli import entry
@@ -223,3 +224,38 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["outpaint", "outpaint-long"])
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_non_finite_cfg_scale_is_refused_before_sampling(tmp_path, capsys, monkeypatch,
+                                                         command, scale):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled with a non-finite guidance scale")
+
+    monkeypatch.setattr(pipeline, "sample", never)
+    model, seq, out = tmp_path / "m.bin", tmp_path / "seq", tmp_path / "o"
+    write_tiny_model(model)
+    entry(["synth", "--out", str(seq), "--shape", "8x8x4", "--seed", "0"])
+    flags = ["--clip-frames", "3", "--overlap", "1"] if command == "outpaint-long" else []
+    assert entry([command, "--model", str(model), "--input", str(seq), "--out", str(out),
+                  "--mask-ratio", "0.5", "--steps", "2", "--cfg-scale", scale] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cfg_scale must be finite") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", ["8x8", "8x8xa", "0x8x8", "8x8x8x8"])
+def test_bad_shape_spellings_rejected_by_synth_and_config(tmp_path, capsys, shape):
+    out = tmp_path / "seq"
+    assert entry(["synth", "--out", str(out), "--shape", shape]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: shape must be HxWxS") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+    cfg, ckpt = tmp_path / "cfg.txt", tmp_path / "m.bin"
+    cfg.write_text(f"steps=1\nshape={shape}\n")
+    assert entry(["train", "--config", str(cfg), "--out", str(ckpt), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 2: bad shape value '{shape}': shape must be HxWxS")
+    assert not ckpt.exists()

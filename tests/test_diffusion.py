@@ -249,6 +249,12 @@ def test_sampler_config_validation():
         SamplerConfig(cfg_scale=-0.5)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+def test_sampler_config_rejects_non_finite_cfg_scale(scale):
+    with pytest.raises(ValueError, match="cfg_scale must be finite"):
+        SamplerConfig(cfg_scale=scale)
+
+
 def test_sampler_non_finite_result_raises():
     # a poisoned unconditional branch reaches the result once guidance uses it
     sched = make_schedule(T=20)

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from outpainter.backbone import BackboneConfig
+from outpainter.codec import PATCH
 from outpainter.diffusion import make_schedule
 from outpainter.errors import NumericalError
 from outpainter.model import OutpaintingModel
@@ -150,6 +151,47 @@ def test_sample_training_mask_split_boundaries():
     plane = M[:, :, 0, 0]
     np.testing.assert_array_equal(plane[:, :10], 1.0)
     np.testing.assert_array_equal(plane[:, 10:], 0.0)
+
+
+def _parent_training_mask(H, W, S, rng):
+    """The hand-written band builder sample_training_mask replaced, kept
+    as the reference for its draws and geometry."""
+    r = rng.uniform(0.1, 0.8)
+    horizontal = rng.random() < 0.5
+    u = rng.random()
+    extent = W if horizontal else H
+    total = int(np.floor(r * extent + 0.5))
+    first = min(int(np.floor(u * r * extent + 0.5)), total)
+    second = total - first
+    plane = np.ones((H, W))
+    if horizontal:
+        if first:
+            plane[:, :first] = 0.0
+        if second:
+            plane[:, W - second:] = 0.0
+    else:
+        if first:
+            plane[:first, :] = 0.0
+        if second:
+            plane[H - second:, :] = 0.0
+    return np.repeat(plane[:, :, None, None], S, axis=2)
+
+
+def test_sample_training_mask_matches_parent_formula():
+    shapes = [(16, 16, 8), (8, 20, 3), (12, 4, 2), (4, 4, 1)]
+    got_rng, ref_rng = np.random.default_rng(123), np.random.default_rng(123)
+    cut_cols = cut_rows = 0
+    for k in range(200):
+        H, W, S = shapes[k % len(shapes)]
+        got = sample_training_mask(H, W, S, got_rng)
+        want = _parent_training_mask(H, W, S, ref_rng)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        cut = got[:, :, 0, 0] == 0
+        cut_cols += cut.all(axis=0).any()
+        cut_rows += cut.all(axis=1).any()
+    assert cut_cols and cut_rows  # both axes were drawn
+    assert got_rng.random() == ref_rng.random()  # and the same stream consumed
 
 
 def test_synth_video_velocity_properties():
@@ -295,7 +337,7 @@ def test_parse_train_config():
                                   "steps=-5", "steps=0", "lr=-1", "lr=0", "lr=inf",
                                   "text_drop=nan", "text_drop=1.5", "momentum=5",
                                   "beta=nan", "n_heads=0", "control_hidden=0",
-                                  "shape=0x16x8", "steps=1e3"])
+                                  "shape=0x16x8", "shape=18x16x8", "steps=1e3"])
 def test_parse_train_config_rejects_unusable_values(line):
     with pytest.raises(ValueError, match=r"^line 2: bad \w+ value"):
         parse_train_config("seed=1\n" + line + "\n")
@@ -309,8 +351,9 @@ def train_configs(draw):
     """A valid TrainConfig and one text spelling of it."""
     pos = st.integers(1, 64)
     unit = st.floats(0.0, 1.0)
+    side = st.integers(1, 16).map(lambda n: n * PATCH)
     cfg = TrainConfig(
-        shape=(draw(pos), draw(pos), draw(pos)), steps=draw(pos),
+        shape=(draw(side), draw(side), draw(pos)), steps=draw(pos),
         lr=draw(st.floats(1e-9, 1e3)), beta=draw(st.floats(0.0, 10.0)),
         t_latent=draw(st.integers(0, 1000)), gamma=draw(st.floats(0.0, 2.0)),
         seed=draw(st.integers(0, 2**31)), n_blocks=draw(st.integers(2, 8)),
