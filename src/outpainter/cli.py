@@ -17,7 +17,7 @@ from .diffusion import SamplerConfig, make_schedule
 from .errors import NumericalError
 from .frameio import load_frames, save_frames
 from .longvideo import refine_clip
-from .metrics import psnr, ssim
+from .metrics import SSIM_WINDOW, psnr, ssim
 from .model import OutpaintingModel
 from .pipeline import EvalMaskSpec, make_eval_mask, outpaint_long, outpaint_video
 from .training import parse_train_config, synth_video, train
@@ -129,7 +129,9 @@ def _cmd_refine(args) -> None:
 def _cmd_eval(args) -> None:
     a = from_u8(load_frames(args.a))
     b = from_u8(load_frames(args.b))
-    print(f"PSNR: {psnr(a, b):.4f}  SSIM: {ssim(a, b):.6f}  LPIPS: n/a  FVD: n/a")
+    score = psnr(a, b)  # defined at any frame size, and checks the shapes
+    structural = f"{ssim(a, b):.6f}" if min(a.shape[:2]) >= SSIM_WINDOW else "n/a"
+    print(f"PSNR: {score:.4f}  SSIM: {structural}  LPIPS: n/a  FVD: n/a")
 
 
 def _cmd_synth(args) -> None:

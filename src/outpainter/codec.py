@@ -6,9 +6,11 @@ compression. Being a pure memory permutation, encode/decode round-trip
 bit-exactly, so every downstream property can be tested without learned
 weights.
 
-Array layout everywhere: (height, width, time, channels). Pixel videos are
+Axis order everywhere: (height, width, time, channels). Pixel videos are
 (H, W, S, 3) floats in [0,1]; pixel masks are (H, W, S, 1) binary with
-1 = given region, 0 = region to generate.
+1 = given region, 0 = region to generate. The axis order is not a promise
+about memory order: frames loaded from disk are (H, W, S, 3) views of a
+frame-major buffer.
 """
 
 import numpy as np

@@ -2,7 +2,10 @@
 
 A sequence directory holds frame_00000.ppm .. frame_{n-1:05d}.ppm and a
 manifest.txt of the form `frames=<n> width=<w> height=<h>`. Pixels are
-8-bit RGB; arrays are (H, W, S, 3) uint8.
+8-bit RGB; arrays are (H, W, S, 3) uint8. `load_frames` returns that
+shape as a view of a frame-major (S, H, W, 3) buffer, so each frame is one
+contiguous block that a file's pixel body is copied into, and saving such
+a view writes each frame without gathering it.
 """
 
 import os
@@ -34,7 +37,12 @@ def save_ppm(path: str, frame: np.ndarray) -> None:
         f.write(np.ascontiguousarray(frame))
 
 
-def load_ppm(path: str) -> np.ndarray:
+def load_ppm(path: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Binary P6 file -> (H, W, 3) uint8.
+
+    With `out`, the pixels are copied into it, and a file whose frame is
+    not out's size is rejected; otherwise a new array is returned.
+    """
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P6"):
@@ -45,10 +53,15 @@ def load_ppm(path: str) -> np.ndarray:
     W, H, maxval = (int(v) for v in header.groups())
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
-    body = data[header.end():]
-    if len(body) != W * H * 3:
-        raise ValueError(f"{path}: expected {W * H * 3} pixel bytes, found {len(body)}")
-    return np.frombuffer(body, dtype=np.uint8).reshape(H, W, 3).copy()
+    found = len(data) - header.end()
+    if found != W * H * 3:
+        raise ValueError(f"{path}: expected {W * H * 3} pixel bytes, found {found}")
+    if out is None:
+        out = np.empty((H, W, 3), dtype=np.uint8)
+    elif out.shape != (H, W, 3):
+        raise ValueError(f"{path}: frame is {W}x{H}, expected {out.shape[1]}x{out.shape[0]}")
+    out[...] = np.frombuffer(data, dtype=np.uint8, offset=header.end()).reshape(H, W, 3)
+    return out
 
 
 def save_frames(directory: str, video: np.ndarray) -> None:
@@ -66,7 +79,8 @@ def save_frames(directory: str, video: np.ndarray) -> None:
 
 
 def load_frames(directory: str) -> np.ndarray:
-    """Sequence directory -> (H, W, S, 3) uint8; validates the manifest."""
+    """Sequence directory -> (H, W, S, 3) uint8 view of a frame-major
+    buffer; validates the manifest."""
     mpath = os.path.join(directory, MANIFEST)
     if not os.path.exists(mpath):
         raise ValueError(f"{directory}: missing {MANIFEST}")
@@ -88,13 +102,12 @@ def load_frames(directory: str) -> np.ndarray:
     for s in range(S):
         if not os.path.exists(os.path.join(directory, frame_name(s))):
             raise ValueError(f"{directory}: missing frame index {s} ({frame_name(s)})")
-    video = None
-    for s in range(S):
-        frame = load_ppm(os.path.join(directory, frame_name(s)))
-        if frame.shape != (H, W, 3):
-            raise ValueError(f"{directory}: frame {s} is {frame.shape[1]}x{frame.shape[0]}, "
-                             f"manifest says {W}x{H}")
-        if video is None:
-            video = np.empty((H, W, S, 3), dtype=np.uint8)
-        video[:, :, s] = frame
-    return video
+    frame0 = load_ppm(os.path.join(directory, frame_name(0)))
+    if frame0.shape != (H, W, 3):
+        raise ValueError(f"{directory}: frame 0 is {frame0.shape[1]}x{frame0.shape[0]}, "
+                         f"manifest says {W}x{H}")
+    frames = np.empty((S, H, W, 3), dtype=np.uint8)
+    frames[0] = frame0
+    for s in range(1, S):
+        load_ppm(os.path.join(directory, frame_name(s)), out=frames[s])
+    return frames.transpose(1, 2, 0, 3)

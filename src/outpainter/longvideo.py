@@ -6,9 +6,12 @@ shares with the already-generated output as fully-given condition frames,
 and its colors are then matched to the previous clip through the shared
 overlap: first a per-channel mean/variance alignment, then 256-bin
 histogram matching. Both map each 8-bit level to one level, so the refiner
-runs them on a table of the 256 levels and gathers its uint8 clip through it.
+runs them on a table of the 256 levels, takes its statistics from the
+overlap's 256-bin histograms as exact integer moments, and gathers its
+uint8 clip through the table.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,32 +83,85 @@ def _check_u8_values(name: str, a: np.ndarray) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def mean_variance_alignment(source: np.ndarray, template: np.ndarray, target: np.ndarray,
+@dataclass(frozen=True)
+class Histogram:
+    """Per-channel counts of 8-bit values: counts[v, c] is how often level
+    v occurs in channel c (channels are the values' trailing axis)."""
+    counts: np.ndarray  # (256, C) int64
+
+    @classmethod
+    def of(cls, name: str, values: np.ndarray) -> "Histogram":
+        arr = _check_u8_values(name, values)
+        return cls(np.stack([np.bincount(arr[..., c].ravel(order="K"), minlength=256)
+                             for c in range(arr.shape[-1])], axis=1))
+
+    def mapped(self, lut: np.ndarray) -> "Histogram":
+        """The histogram of the same values after level v of channel c
+        becomes lut[v, c]; no pass over the values."""
+        counts = np.zeros_like(self.counts)
+        np.add.at(counts, (lut, np.arange(lut.shape[1])), self.counts)
+        return Histogram(counts)
+
+    def moments(self, c: int) -> tuple:
+        """Channel c's mean and standard deviation, each the float nearest
+        the exact value: mean = S1/N, variance = (N*S2 - S1^2)/N^2 over the
+        integer power sums, whatever the values' memory order."""
+        counts = self.counts[:, c]
+        levels = np.arange(256, dtype=np.int64)
+        n, s1, s2 = (int(v) for v in (counts.sum(), counts @ levels, counts @ levels ** 2))
+        return s1 / n, math.sqrt((n * s2 - s1 * s1) / (n * n))
+
+
+def _stage_histograms(source, template, channels: int) -> tuple:
+    """A stage's source and template as Histograms of `channels` channels."""
+    src, tmpl = ((v if isinstance(v, Histogram) else Histogram.of(name, v))
+                 for name, v in (("source", source), ("template", template)))
+    if src.counts.shape[1] != channels or tmpl.counts.shape[1] != channels:
+        raise ValueError("channel counts disagree")
+    return src, tmpl
+
+
+def mean_variance_alignment(source, template, target: np.ndarray,
                             clip: bool = True) -> np.ndarray:
     """Affine-map target so source's per-channel stats become template's.
 
-    Channels are the trailing axis; statistics pool every other axis of
-    the K-frame source/template stacks. The same scale and shift apply to
-    the whole target clip. A zero-variance source channel degrades to a
-    pure shift. Returns floats; clipping to [0, 255] is on by default.
+    source and template are 8-bit values (channels trailing; statistics
+    pool every other axis of the K-frame stacks) or their Histograms. The
+    same scale and shift apply to the whole target clip. A zero-variance
+    source channel degrades to a pure shift. Returns floats; clipping to
+    [0, 255] is on by default.
     """
-    if source.shape[-1] != template.shape[-1] or source.shape[-1] != target.shape[-1]:
-        raise ValueError("channel counts disagree")
-    src = np.asarray(source, dtype=np.float64)
-    tmpl = np.asarray(template, dtype=np.float64)
     out = np.asarray(target, dtype=np.float64).copy()
-    C = src.shape[-1]
-    axes = tuple(range(src.ndim - 1))
-    mu_s, sd_s = src.mean(axis=axes), src.std(axis=axes)
-    mu_t, sd_t = tmpl.mean(axis=axes), tmpl.std(axis=axes)
-    for c in range(C):
-        if sd_s[c] == 0.0:
-            out[..., c] += mu_t[c] - mu_s[c]
+    src, tmpl = _stage_histograms(source, template, out.shape[-1])
+    for c in range(out.shape[-1]):
+        mu_s, sd_s = src.moments(c)
+        mu_t, sd_t = tmpl.moments(c)
+        if sd_s == 0.0:
+            out[..., c] += mu_t - mu_s
         else:
-            out[..., c] = (out[..., c] - mu_s[c]) * (sd_t[c] / sd_s[c]) + mu_t[c]
+            out[..., c] = (out[..., c] - mu_s) * (sd_t / sd_s) + mu_t
     if clip:
         out = np.clip(out, 0.0, 255.0)
     return out
+
+
+def _cdf_lut(counts_s: np.ndarray, counts_t: np.ndarray) -> np.ndarray:
+    q_s = np.cumsum(counts_s) / counts_s.sum()
+    q_t = np.cumsum(counts_t) / counts_t.sum()
+    # per source level, the case that applies last wins: interpolation
+    # between the bracketing template quantiles, the clamp below the first,
+    # a leftmost exact hit, the clamp past the last
+    j = np.searchsorted(q_t, q_s, side="left")
+    hit = np.minimum(j, 255)
+    below = q_t[np.maximum(hit - 1, 0)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (q_s - below) / (q_t[hit] - below)
+    lut = round_half_away(hit - 1 + frac)
+    lut[j == 0] = 0
+    exact = q_t[hit] == q_s
+    lut[exact] = hit[exact]
+    lut[j >= 256] = 255
+    return lut.astype(np.int64)
 
 
 def match_lut(source_channel: np.ndarray, template_channel: np.ndarray) -> np.ndarray:
@@ -118,35 +174,18 @@ def match_lut(source_channel: np.ndarray, template_channel: np.ndarray) -> np.nd
     """
     src = _check_u8_values("source", source_channel)
     tmpl = _check_u8_values("template", template_channel)
-    q_s = np.cumsum(np.bincount(src.ravel(), minlength=256)) / src.size
-    q_t = np.cumsum(np.bincount(tmpl.ravel(), minlength=256)) / tmpl.size
-
-    lut = np.empty(256, dtype=np.int64)
-    for v in range(256):
-        q = q_s[v]
-        j = int(np.searchsorted(q_t, q, side="left"))
-        if j >= 256:
-            lut[v] = 255
-        elif q_t[j] == q:
-            lut[v] = j
-        elif j == 0:
-            lut[v] = 0
-        else:
-            frac = (q - q_t[j - 1]) / (q_t[j] - q_t[j - 1])
-            lut[v] = round_half_away(j - 1 + frac)
-    return lut
+    return _cdf_lut(np.bincount(src.ravel(), minlength=256),
+                    np.bincount(tmpl.ravel(), minlength=256))
 
 
-def histogram_matching(source: np.ndarray, template: np.ndarray,
-                       target: np.ndarray) -> np.ndarray:
-    """Per-channel LUT from (source, template) applied to the whole target."""
-    if source.shape[-1] != template.shape[-1] or source.shape[-1] != target.shape[-1]:
-        raise ValueError("channel counts disagree")
+def histogram_matching(source, template, target: np.ndarray) -> np.ndarray:
+    """Per-channel `match_lut` of (source, template) applied to the whole
+    target; source and template are 8-bit values or their Histograms."""
     tgt = _check_u8_values("target", target)
+    src, tmpl = _stage_histograms(source, template, tgt.shape[-1])
     out = np.empty_like(tgt)
-    for c in range(source.shape[-1]):
-        lut = match_lut(source[..., c], template[..., c])
-        out[..., c] = lut[tgt[..., c]]
+    for c in range(tgt.shape[-1]):
+        out[..., c] = _cdf_lut(src.counts[:, c], tmpl.counts[:, c])[tgt[..., c]]
     return out
 
 
@@ -156,21 +195,28 @@ def refine_clip(clip: np.ndarray, template: np.ndarray, K: int) -> np.ndarray:
     clip and template hold 8-bit integer values; the source statistics come
     from the clip's own first K frames (recomputed after the first stage so
     the histogram step sees what it will actually transform). Both stages
-    run on a (256, C) table of levels, which the clip is gathered through into uint8.
+    run on a (256, C) table of levels and on the overlap's histogram pushed
+    through the first stage's table; the clip is then gathered through the
+    table one frame plane at a time into a frame-major uint8 buffer, whose
+    (H, W, S, C) view is returned.
     """
     if K <= 0 or K >= clip.shape[2]:
         raise ValueError(f"overlap K={K} outside (0, {clip.shape[2]})")
     if template.shape[2] != K:
         raise ValueError(f"template has {template.shape[2]} frames, expected {K}")
     clip = _check_u8_values("clip", clip)
-    tmpl = _check_u8_values("template", template)
-    levels = np.repeat(np.arange(256.0)[:, None], clip.shape[-1], axis=1)
-    lut = quantize_u8(mean_variance_alignment(clip[:, :, :K], tmpl, levels))
-    lut = histogram_matching(lut[clip[:, :, :K], np.arange(clip.shape[-1])], tmpl, lut)
-    out = np.empty_like(clip)
-    for c in range(clip.shape[-1]):
-        np.take(lut[:, c], clip[..., c], out=out[..., c])
-    return out
+    src, tmpl = Histogram.of("clip", clip[:, :, :K]), Histogram.of("template", template)
+    H, W, S, C = clip.shape
+    levels = np.repeat(np.arange(256.0)[:, None], C, axis=1)
+    lut = quantize_u8(mean_variance_alignment(src, tmpl, levels))
+    lut = histogram_matching(src.mapped(lut), tmpl, lut)
+    frames = np.empty((S, H, W, C), dtype=np.uint8)
+    # uint8 indices cannot leave the table, and mode="wrap" lets take write
+    # the strided channel plane directly instead of through a buffer
+    for s in range(S):
+        for c in range(C):
+            np.take(lut[:, c], clip[:, :, s, c], out=frames[s, :, :, c], mode="wrap")
+    return frames.transpose(1, 2, 0, 3)
 
 
 def assemble(clips: list, plan: ClipPlan, window: tuple[int, int] | None = None) -> np.ndarray:

@@ -23,8 +23,9 @@ def to_u8(x: np.ndarray) -> np.ndarray:
 
 
 def from_u8(u: np.ndarray) -> np.ndarray:
-    """0..255 integers -> [0,1] floats."""
-    return np.asarray(u, dtype=np.float64) / 255.0
+    """0..255 integers -> C-ordered [0,1] floats, whatever u's memory order,
+    so float reductions downstream sum in the same order for any layout."""
+    return np.asarray(u, dtype=np.float64, order="C") / 255.0
 
 
 def parse_shape(text: str) -> tuple:

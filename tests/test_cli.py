@@ -48,6 +48,16 @@ def test_eval_identical_sequences(tmp_path, capsys):
     assert "LPIPS: n/a" in out and "FVD: n/a" in out
 
 
+def test_eval_frames_smaller_than_ssim_window(tmp_path, capsys):
+    # PSNR is defined at any size; SSIM needs a whole 8x8 window
+    seq = tmp_path / "a"
+    assert entry(["synth", "--out", str(seq), "--shape", "4x12x2", "--seed", "0"]) == 0
+    assert entry(["eval", str(seq), str(seq)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "PSNR: 99.0000  SSIM: n/a  LPIPS: n/a  FVD: n/a\n"
+    assert captured.err == ""
+
+
 def test_outpaint_emits_same_length_sequence(tmp_path):
     model = tmp_path / "m.bin"
     write_tiny_model(model)

@@ -119,6 +119,24 @@ def test_manifest_dimension_mismatch_rejected(tmp_path):
         load_frames(str(d))
 
 
+def test_later_frame_size_mismatch_names_its_index(tmp_path):
+    video = np.zeros((4, 4, 3, 3), dtype=np.uint8)
+    d = tmp_path / "out"
+    save_frames(str(d), video)
+    save_ppm(str(d / "frame_00002.ppm"), np.zeros((4, 8, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"frame_00002\.ppm: frame is 8x4, expected 4x4"):
+        load_frames(str(d))
+
+
+def test_load_frames_is_a_frame_major_view(tmp_path):
+    video = np.random.default_rng(3).integers(0, 256, (4, 6, 5, 3), dtype=np.uint8)
+    save_frames(str(tmp_path / "out"), video)
+    back = load_frames(str(tmp_path / "out"))
+    assert back.shape == video.shape
+    assert back.transpose(2, 0, 1, 3).flags.c_contiguous
+    np.testing.assert_array_equal(back, video)
+
+
 def test_manifest_missing_key_rejected(tmp_path):
     video = np.zeros((4, 4, 2, 3), dtype=np.uint8)
     d = tmp_path / "out"
@@ -155,6 +173,22 @@ def test_ppm_round_trip_property(tmp_path_factory, img):
     back = load_ppm(str(path))
     assert back.dtype == np.uint8
     np.testing.assert_array_equal(back, img)
+
+
+videos = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4)).flatmap(
+    lambda hws: arrays(np.uint8, hws + (3,)))
+
+
+@given(videos, st.booleans())
+def test_load_frames_returns_what_save_frames_wrote(tmp_path_factory, video, frame_major):
+    # the same values saved from a C-ordered array or from a frame-major view
+    if frame_major:
+        video = np.ascontiguousarray(video.transpose(2, 0, 1, 3)).transpose(1, 2, 0, 3)
+    d = tmp_path_factory.mktemp("seq")
+    save_frames(str(d), video)
+    back = load_frames(str(d))
+    assert back.dtype == np.uint8
+    np.testing.assert_array_equal(back, video)
 
 
 @given(frames, header_gaps, header_gaps, header_gaps, blanks)

@@ -4,6 +4,7 @@ The histogram-matching oracle here rebuilds the lookup by linear scan over
 the template CDF (no searchsorted) and must agree with production exactly.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from outpainter.longvideo import (
+    Histogram,
     assemble,
     build_condition,
     histogram_matching,
@@ -365,6 +367,51 @@ def test_refine_clip_equals_per_pixel_stages(case):
         got = refine_clip(clip.astype(dtype), tmpl.astype(dtype), K)
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, want)
+
+
+def frame_major(a):
+    """The same values as a, in an (S, H, W, C)-ordered buffer."""
+    return np.ascontiguousarray(a.transpose(2, 0, 1, 3)).transpose(1, 2, 0, 3)
+
+
+@given(refine_cases())
+def test_refine_clip_same_bytes_for_any_layout(case):
+    clip, tmpl, K = case
+    want = refine_clip(clip, tmpl, K)
+    got = refine_clip(frame_major(clip), frame_major(tmpl), K)
+    assert got.tobytes(order="C") == want.tobytes(order="C")
+
+
+@given(refine_cases())
+def test_mv_alignment_same_for_any_layout(case):
+    clip, tmpl, K = case
+    levels = np.repeat(np.arange(256.0)[:, None], clip.shape[-1], axis=1)
+    want = mean_variance_alignment(clip[:, :, :K], tmpl, levels, clip=False)
+    got = mean_variance_alignment(frame_major(clip)[:, :, :K], frame_major(tmpl), levels,
+                                  clip=False)
+    assert got.tobytes() == want.tobytes()
+
+
+@given(refine_cases(), st.integers(0, 2**32 - 1))
+def test_mapped_histogram_is_bincount_of_mapped_values(case, seed):
+    clip, _, K = case
+    C = clip.shape[-1]
+    lut = np.random.default_rng(seed).integers(0, 256, (256, C), dtype=np.uint8)
+    mapped = lut[clip[:, :, :K], np.arange(C)]
+    want = np.stack([np.bincount(mapped[..., c].ravel(), minlength=256) for c in range(C)],
+                    axis=1)
+    np.testing.assert_array_equal(Histogram.of("clip", clip[:, :, :K]).mapped(lut).counts, want)
+
+
+def test_histogram_moments_are_exact():
+    # mean = S1/N and variance = (N*S2 - S1^2)/N^2, rounded once
+    rng = np.random.default_rng(17)
+    vals = rng.integers(0, 256, (9, 7, 3, 2))
+    hist = Histogram.of("vals", vals)
+    for c in range(2):
+        x = [int(v) for v in vals[..., c].ravel()]
+        n, s1, s2 = len(x), sum(x), sum(v * v for v in x)
+        assert hist.moments(c) == (s1 / n, math.sqrt((n * s2 - s1 * s1) / (n * n)))
 
 
 def test_refine_clip_memory_is_a_few_clips():

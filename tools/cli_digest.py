@@ -33,6 +33,9 @@ MATRIX = [
     ("synth-clip", ["synth", "--out", "clip", "--shape", "16x16x8", "--seed", "1"]),
     ("synth-long", ["synth", "--out", "long", "--shape", "16x16x40", "--seed", "2"]),
     ("synth-short", ["synth", "--out", "short", "--shape", "16x16x7", "--seed", "3"]),
+    ("synth-mid", ["synth", "--out", "mid", "--shape", "64x96x12", "--seed", "8"]),
+    ("synth-mid-template", ["synth", "--out", "mid-template", "--shape", "64x96x3",
+                            "--seed", "9"]),
     ("train", ["train", "--config", "train.cfg", "--out", "model.bin"]),
     ("outpaint-cfg3", ["outpaint", "--model", "model.bin", "--input", "clip",
                        "--out", "out-cfg3", "--mask-ratio", "0.25", "--steps", "20",
@@ -53,6 +56,11 @@ MATRIX = [
                           "--seed", "7"]),
     ("refine", ["refine", "--input", "long-no-refine", "--template", "short",
                 "--out", "refined"]),
+    # a mid-size refine over whole frame planes, so a layout or gather error
+    # in the refiner shows in its output
+    ("refine-mid", ["refine", "--input", "mid", "--template", "mid-template",
+                    "--out", "refined-mid"]),
+    ("eval", ["eval", "clip", "out-cfg3"]),
 ]
 
 
