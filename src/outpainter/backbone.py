@@ -18,6 +18,9 @@ from .tensor import Tensor, stack
 
 @dataclass(frozen=True)
 class BackboneConfig:
+    """The whole architecture. Checkpoints store each field as
+    meta/<name> in declaration order, so a new field goes last."""
+
     n_blocks: int = 4
     d_model: int = 64
     n_heads: int = 4
@@ -25,9 +28,10 @@ class BackboneConfig:
     mlp_ratio: int = 4
     d_latent: int = 48
     t_dim: int = 128
+    control_hidden: int = 16  # the control branch's conv width
 
     def __post_init__(self):
-        for name in ("d_model", "n_heads", "mlp_ratio", "d_latent", "t_dim"):
+        for name in ("d_model", "n_heads", "mlp_ratio", "d_latent", "t_dim", "control_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads:

@@ -7,10 +7,10 @@ then the raw little-endian float64 blobs back to back. Loading requires
 exactly that: each offset is the previous array's end, and the last
 array ends where the file does.
 
-Checkpoints are self-describing: model files carry `meta/...` scalar
-entries holding the architecture so loading needs no side channel.
-Each must be a finite scalar, and an integral one where the field is an
-integer.
+Checkpoints are self-describing: model files start with one `meta/<field>`
+scalar per BackboneConfig field, in declaration order, so loading needs no
+side channel. Each must be a finite scalar, and an integral one where the
+field is an integer.
 """
 
 from dataclasses import fields
@@ -91,7 +91,6 @@ def load_arrays(path: str) -> dict:
 def save_model(path: str, model: OutpaintingModel) -> None:
     named = [(f"meta/{f.name}", np.float64(getattr(model.cfg, f.name)))
              for f in fields(BackboneConfig)]
-    named.append(("meta/control_hidden", np.float64(model.control_hidden)))
     named.extend((name, p.data) for name, p in model.named_params())
     save_arrays(path, named)
 
@@ -113,21 +112,20 @@ def _pop_meta(arrays: dict, path: str, name: str, kind: type):
 def load_model(path: str) -> OutpaintingModel:
     arrays = load_arrays(path)
     kwargs = {f.name: _pop_meta(arrays, path, f.name, f.type) for f in fields(BackboneConfig)}
-    control_hidden = _pop_meta(arrays, path, "control_hidden", int)
-    if control_hidden < 1:
-        raise ValueError(f"{path}: meta/control_hidden = {control_hidden} is not >= 1")
     try:
         cfg = BackboneConfig(**kwargs)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    # each of these sizes is the length of some stored array's axis (the
-    # embedding, modulation, MLP, timestep and control weights), so a larger
-    # one is refused before the model is allocated
+    # the modulation and MLP widths and every integer size but n_blocks are at
+    # most the length of some stored array's axis (n_heads divides d_model),
+    # so a larger one is refused before the model is allocated
     longest = max((d for a in arrays.values() for d in a.shape), default=0)
+    sizes = [kwargs[f.name] for f in fields(BackboneConfig)
+             if f.type is int and f.name != "n_blocks"]
     if (max(4, cfg.mlp_ratio) * cfg.d_model > longest or cfg.n_blocks > len(arrays)
-            or max(cfg.d_latent, cfg.t_dim, control_hidden) > longest):
+            or max(sizes) > longest):
         raise ValueError(f"{path}: meta/ sizes exceed the stored arrays")
-    model = OutpaintingModel(cfg, seed=0, control_hidden=control_hidden)
+    model = OutpaintingModel(cfg, seed=0)
     params = dict(model.named_params())
     if set(params) != set(arrays):
         missing = set(params) ^ set(arrays)

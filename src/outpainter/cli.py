@@ -92,9 +92,9 @@ def _cmd_train(args) -> None:
         cfg = parse_train_config(f.read())
     if args.seed is not None:
         cfg.seed = args.seed
-    bcfg = BackboneConfig(n_blocks=cfg.n_blocks, d_model=cfg.d_model,
-                          n_heads=cfg.n_heads, gamma=cfg.gamma)
-    model = OutpaintingModel(bcfg, seed=cfg.seed, control_hidden=cfg.control_hidden)
+    bcfg = BackboneConfig(n_blocks=cfg.n_blocks, d_model=cfg.d_model, n_heads=cfg.n_heads,
+                          gamma=cfg.gamma, control_hidden=cfg.control_hidden)
+    model = OutpaintingModel(bcfg, seed=cfg.seed)
     train(model, cfg, log=None if args.quiet else sys.stdout)
     save_model(args.out, model)
 

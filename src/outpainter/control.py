@@ -10,7 +10,7 @@ import functools
 
 import numpy as np
 
-from .backbone import tokenize, untokenize
+from .backbone import BackboneConfig, tokenize, untokenize
 from .nn import Linear, Module, Tensor, param
 
 
@@ -51,11 +51,12 @@ class Conv3x3(Module):
 class ControlBranch(Module):
     """Three bounded conv layers over (Z_masked, m), projected to tokens."""
 
-    def __init__(self, rng, d_latent: int, d_model: int, hidden: int):
-        self.conv1 = Conv3x3(rng, d_latent + 1, hidden)
+    def __init__(self, rng, cfg: BackboneConfig):
+        hidden = cfg.control_hidden
+        self.conv1 = Conv3x3(rng, cfg.d_latent + 1, hidden)
         self.conv2 = Conv3x3(rng, hidden, hidden)
         self.conv3 = Conv3x3(rng, hidden, hidden)
-        self.proj = Linear(rng, hidden, d_model)
+        self.proj = Linear(rng, hidden, cfg.d_model)
 
     def extract(self, z_masked: np.ndarray, m: np.ndarray) -> Tensor:
         """(h, w, s, d), (h, w, s, 1) -> (h*w*s, d_model) in token order."""
@@ -67,21 +68,14 @@ class ControlBranch(Module):
         return self.proj(tokenize(self.conv3(x)))
 
 
-def feature_stats(features: Tensor, flow_gradient: bool = False):
+def feature_stats(features: Tensor):
     """Per-channel mean/std over the token axis of (..., L, d) sequences,
-    each (..., 1, d), as constants by default.
+    each (..., 1, d), as constants.
 
     The alignment target comes from the live block-1 output; blocking its
     gradient keeps the conditioning branch from steering the denoiser
-    through the normalization constants. flow_gradient=True keeps the
-    path differentiable end to end.
+    through the normalization constants.
     """
-    if flow_gradient:
-        mu = features.mean(axes=-2, keepdims=True)
-        d = features - mu
-        # variance floor keeps sqrt differentiable on degenerate channels
-        sigma = (d * d).mean(axes=-2, keepdims=True).clamp(lo=1e-12) ** 0.5
-        return mu, sigma
     return (Tensor(features.data.mean(axis=-2, keepdims=True)),
             Tensor(features.data.std(axis=-2, keepdims=True)))
 

@@ -35,21 +35,13 @@ class OutpaintingModel(Module):
     step-invariant Condition once, and predict_eps(z_t, t, z_masked, m,
     text_embed, cond=...) predicts epsilon per step, one (h, w, s, d) array
     for one embedding or a stacked (len, h, w, s, d) array for a list.
-
-    align_stats_grad controls whether gradients flow into the alignment
-    target statistics (the block-1 mean/std); off by default, the target
-    is treated as a constant each forward pass.
     """
 
-    def __init__(self, cfg: BackboneConfig, seed: int = 0, control_hidden: int = 16,
-                 align_stats_grad: bool = False):
+    def __init__(self, cfg: BackboneConfig, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.backbone = Backbone(cfg, rng)
-        self.control = ControlBranch(rng, d_latent=cfg.d_latent, d_model=cfg.d_model,
-                                     hidden=control_hidden)
+        self.control = ControlBranch(rng, cfg)
         self.cfg = cfg
-        self.control_hidden = control_hidden
-        self.align_stats_grad = align_stats_grad
 
     def condition(self, z_masked: np.ndarray, m: np.ndarray) -> Condition:
         """The step-invariant part of the denoiser's input, built once per
@@ -69,7 +61,7 @@ class OutpaintingModel(Module):
             raise ValueError(f"masked latents {cond.shape} != noisy latents {z_t.shape}")
 
         def inject_fn(block1_out: Tensor) -> Tensor:
-            mu_m, sigma_m = feature_stats(block1_out, flow_gradient=self.align_stats_grad)
+            mu_m, sigma_m = feature_stats(block1_out)
             return cond.features * sigma_m + mu_m
 
         return self.backbone.forward(z_t, t, cond.multipliers, text_embed, inject_fn)
@@ -89,9 +81,6 @@ class OutpaintingModel(Module):
     def text_vector(self) -> Tensor:
         """The learned caption stand-in used for conditional sampling."""
         return self.backbone.text_embed
-
-    def control_param_fraction(self) -> float:
-        return self.control.n_params() / self.backbone.n_params()
 
     def trainable_params(self, restricted: bool = False):
         """All parameters, or only attention/conditioning/control ones.

@@ -26,12 +26,6 @@ class Module:
                     out.extend(v.named_params(f"{name}.{i}."))
         return out
 
-    def params(self):
-        return [p for _, p in self.named_params()]
-
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params())
-
 
 def param(rng: np.random.Generator, shape, scale: float | None = None) -> Tensor:
     """Gaussian-initialized trainable tensor; default scale 1/sqrt(fan_in)."""

@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .backbone import BackboneConfig
 from .codec import PATCH, band_mask, downsample_mask, encode, masked_input
 from .diffusion import Schedule, make_schedule, predict_z0, q_sample
 from .errors import NumericalError
@@ -166,15 +167,15 @@ class TrainConfig:
     shape: tuple = (16, 16, 8)
     steps: int = 500
     lr: float = 1e-3
-    beta: float = 0.02
-    t_latent: int = 200
-    gamma: float = 0.5
+    beta: float = LossConfig.beta
+    t_latent: int = LossConfig.t_latent
+    gamma: float = BackboneConfig.gamma
     seed: int = 0
-    # optional model-size knobs
-    n_blocks: int = 4
-    d_model: int = 64
-    n_heads: int = 4
-    control_hidden: int = 16
+    # the architecture keys; the rest of BackboneConfig keeps its defaults
+    n_blocks: int = BackboneConfig.n_blocks
+    d_model: int = BackboneConfig.d_model
+    n_heads: int = BackboneConfig.n_heads
+    control_hidden: int = BackboneConfig.control_hidden
     text_drop: float = 0.1
     momentum: float = 0.9
     restricted: bool = False

@@ -34,20 +34,31 @@ from outpainter.training import (LossConfig, SGD, TrainConfig, TrainSample,
 # 1. Gradient integrity: every trainable scalar against central differences.
 # --------------------------------------------------------------------------
 
-def test_01_every_parameter_gradient_matches_finite_differences():
+def _feature_stats_on_tape(features):
+    """feature_stats with its gradient kept: per-channel mean, and std with
+    a 1e-12 variance floor so sqrt stays differentiable."""
+    mu = features.mean(axes=-2, keepdims=True)
+    d = features - mu
+    sigma = (d * d).mean(axes=-2, keepdims=True).clamp(lo=1e-12) ** 0.5
+    return mu, sigma
+
+
+def test_01_every_parameter_gradient_matches_finite_differences(monkeypatch):
     """Toy model (2 blocks, d_model=16, 8 latent tokens), combined
     conditional+unconditional training loss at t=100: tape gradient of
     every one of the ~17.5k trainable scalars matches central finite
     differences (step 1e-5) with relative error <= 1e-4. Runtime < 2 min.
 
-    The alignment-statistics gradient flag is on so the tape derivative
-    is the full derivative of the evaluated function, and the loss sums
-    the text and null conditioning branches so both embeddings (and
-    every other parameter) participate.
+    The alignment statistics are computed on the tape here (the model
+    treats them as constants) so the tape derivative is the full
+    derivative of the evaluated function, and the loss sums the text and
+    null conditioning branches so both embeddings (and every other
+    parameter) participate.
     """
     started = time.monotonic()
-    cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2)
-    model = OutpaintingModel(cfg, seed=0, control_hidden=8, align_stats_grad=True)
+    monkeypatch.setattr("outpainter.model.feature_stats", _feature_stats_on_tape)
+    cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2, control_hidden=8)
+    model = OutpaintingModel(cfg, seed=0)
     rng = np.random.default_rng(0)
     for _, p in model.named_params():
         p.data = p.data + rng.normal(0.0, 0.05, p.data.shape)
@@ -189,7 +200,7 @@ def test_03_feature_alignment_reproduces_block1_stats():
     """After alignment, per-channel mean/std of the injected features
     equal the backbone's block-1 output stats within 1e-6 on 50 random
     forward passes; alignment is idempotent and affine-invariant to 1e-8."""
-    model = OutpaintingModel(BackboneConfig(), seed=0, control_hidden=16)
+    model = OutpaintingModel(BackboneConfig(), seed=0)
     rng = np.random.default_rng(1)
     worst_mu, worst_sd = 0.0, 0.0
     for trial in range(50):
@@ -414,9 +425,9 @@ def test_08_training_descends_on_synthetic_data():
 
     def run():
         model = OutpaintingModel(
-            BackboneConfig(n_blocks=cfg.n_blocks, d_model=cfg.d_model,
-                           n_heads=cfg.n_heads, gamma=cfg.gamma),
-            seed=cfg.seed, control_hidden=cfg.control_hidden)
+            BackboneConfig(n_blocks=cfg.n_blocks, d_model=cfg.d_model, n_heads=cfg.n_heads,
+                           gamma=cfg.gamma, control_hidden=cfg.control_hidden),
+            seed=cfg.seed)
         return train(model, cfg)
 
     history = run()
@@ -456,7 +467,7 @@ def test_09_outpainting_beats_mid_gray_baseline():
     video = synth_video(np.random.default_rng(0), 16, 16, 8)
     M = make_eval_mask(EvalMaskSpec(0.25), 16, 16, 8)
 
-    model = OutpaintingModel(BackboneConfig(), seed=0, control_hidden=16)
+    model = OutpaintingModel(BackboneConfig(), seed=0)
     opt = SGD(model.trainable_params(), lr=1e-2, momentum=0.9)
     loss_cfg = LossConfig(t_latent=80)
     rng = np.random.default_rng(1)
@@ -508,7 +519,7 @@ def test_10_round_trips_and_cli_determinism(tmp_path):
 
     ckpt = tmp_path / "model.bin"
     save_model(str(ckpt), OutpaintingModel(
-        BackboneConfig(n_blocks=2, d_model=16, n_heads=2), seed=0, control_hidden=8))
+        BackboneConfig(n_blocks=2, d_model=16, n_heads=2, control_hidden=8), seed=0))
     seq = tmp_path / "seq"
     assert entry(["synth", "--out", str(seq), "--shape", "8x8x4", "--seed", "0"]) == 0
     flags = ["--model", str(ckpt), "--input", str(seq), "--mask-ratio", "0.25",

@@ -1,6 +1,6 @@
 """Checkpoint serialization round trips and error handling."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -50,13 +50,12 @@ def test_values_bit_exact(tmp_path):
 
 
 def test_model_round_trip(tmp_path):
-    cfg = BackboneConfig(n_blocks=2, d_model=24, n_heads=2)
-    model = OutpaintingModel(cfg, seed=3, control_hidden=8)
+    cfg = BackboneConfig(n_blocks=2, d_model=24, n_heads=2, control_hidden=8)
+    model = OutpaintingModel(cfg, seed=3)
     path = tmp_path / "model.bin"
     save_model(str(path), model)
     loaded = load_model(str(path))
     assert loaded.cfg == cfg
-    assert loaded.control_hidden == 8
     orig = dict(model.named_params())
     back = dict(loaded.named_params())
     assert set(orig) == set(back)
@@ -66,21 +65,31 @@ def test_model_round_trip(tmp_path):
 
 def test_model_round_trip_keeps_every_config_field(tmp_path):
     cfg = BackboneConfig(n_blocks=3, d_model=12, n_heads=3, gamma=0.25, mlp_ratio=2,
-                         t_dim=10)
-    model = OutpaintingModel(cfg, seed=4, control_hidden=6)
+                         t_dim=10, control_hidden=6)
+    model = OutpaintingModel(cfg, seed=4)
     path = tmp_path / "model.bin"
     save_model(str(path), model)
     loaded = load_model(str(path))
     assert loaded.cfg == cfg
     assert all(type(getattr(loaded.cfg, f)) is type(getattr(cfg, f)) for f in vars(cfg))
-    assert loaded.control_hidden == 6
     for (name, p), (_, q) in zip(model.named_params(), loaded.named_params()):
         np.testing.assert_array_equal(p.data, q.data, err_msg=name)
 
 
+def test_model_manifest_starts_with_meta_in_field_order(tmp_path):
+    # the layout of every checkpoint: reordering BackboneConfig's fields
+    # would change each file's bytes
+    path = tmp_path / "model.bin"
+    tiny_checkpoint(path)
+    names = list(load_arrays(str(path)))
+    assert names[:8] == ["meta/n_blocks", "meta/d_model", "meta/n_heads", "meta/gamma",
+                         "meta/mlp_ratio", "meta/d_latent", "meta/t_dim", "meta/control_hidden"]
+    assert not any(name.startswith("meta/") for name in names[8:])
+
+
 def test_loaded_model_same_prediction(tmp_path):
-    cfg = BackboneConfig(n_blocks=2, d_model=24, n_heads=2)
-    model = OutpaintingModel(cfg, seed=5, control_hidden=8)
+    cfg = BackboneConfig(n_blocks=2, d_model=24, n_heads=2, control_hidden=8)
+    model = OutpaintingModel(cfg, seed=5)
     path = tmp_path / "model.bin"
     save_model(str(path), model)
     loaded = load_model(str(path))
@@ -110,8 +119,8 @@ def test_garbage_header_rejected(tmp_path):
 
 
 def test_missing_param_rejected(tmp_path):
-    cfg = BackboneConfig(n_blocks=2, d_model=24, n_heads=2)
-    model = OutpaintingModel(cfg, seed=0, control_hidden=8)
+    cfg = BackboneConfig(n_blocks=2, d_model=24, n_heads=2, control_hidden=8)
+    model = OutpaintingModel(cfg, seed=0)
     path = tmp_path / "model.bin"
     save_model(str(path), model)
     arrays = load_arrays(str(path))
@@ -123,8 +132,8 @@ def test_missing_param_rejected(tmp_path):
 
 
 def test_wrong_shape_rejected(tmp_path):
-    cfg = BackboneConfig(n_blocks=2, d_model=24, n_heads=2)
-    model = OutpaintingModel(cfg, seed=0, control_hidden=8)
+    cfg = BackboneConfig(n_blocks=2, d_model=24, n_heads=2, control_hidden=8)
+    model = OutpaintingModel(cfg, seed=0)
     path = tmp_path / "model.bin"
     save_model(str(path), model)
     arrays = load_arrays(str(path))
@@ -182,8 +191,8 @@ def test_trailing_data_byte_rejected(tmp_path):
 
 
 def tiny_checkpoint(path):
-    save_model(str(path), OutpaintingModel(BackboneConfig(n_blocks=2, d_model=16, n_heads=2),
-                                           seed=0, control_hidden=8))
+    save_model(str(path), OutpaintingModel(
+        BackboneConfig(n_blocks=2, d_model=16, n_heads=2, control_hidden=8), seed=0))
 
 
 def with_meta(path, name, value):
@@ -199,7 +208,8 @@ def with_meta(path, name, value):
     ("d_model", np.inf, "meta/d_model = inf is not a finite int"),
     ("control_hidden", 8.25, "meta/control_hidden = 8.25 is not a finite int"),
     ("n_heads", 0.0, "n_heads must be >= 1"),
-    ("control_hidden", 0.0, "meta/control_hidden = 0 is not >= 1"),
+    ("control_hidden", 0.0, "control_hidden must be >= 1"),
+    ("control_hidden", 1e9, "meta/ sizes exceed the stored arrays"),
 ])
 def test_bad_meta_value_rejected(tmp_path, name, value, message):
     path = tmp_path / "model.bin"
@@ -257,15 +267,16 @@ configs = st.builds(
 @given(configs, st.integers(1, 6))
 def test_model_round_trip_property(tmp_path_factory, cfg, hidden):
     path = tmp_path_factory.mktemp("ck") / "model.bin"
-    model = OutpaintingModel(cfg, seed=0, control_hidden=hidden)
+    cfg = replace(cfg, control_hidden=hidden)
+    model = OutpaintingModel(cfg, seed=0)
     save_model(str(path), model)
     loaded = load_model(str(path))
-    assert loaded.cfg == cfg and loaded.control_hidden == hidden
+    assert loaded.cfg == cfg
     for (name, p), (name2, q) in zip(model.named_params(), loaded.named_params()):
         assert name == name2 and p.data.tobytes() == q.data.tobytes()
 
 
-META = [f.name for f in fields(BackboneConfig)] + ["control_hidden"]
+META = [f.name for f in fields(BackboneConfig)]
 meta_values = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                         st.integers(-2, 80).map(float),
                         arrays(np.float64, st.integers(0, 2).map(lambda n: (n,))))
@@ -282,5 +293,5 @@ def test_meta_value_loads_exactly_or_is_rejected(tmp_path_factory, name, value):
         model = load_model(str(path))
     except ValueError:
         return
-    got = model.control_hidden if name == "control_hidden" else getattr(model.cfg, name)
+    got = getattr(model.cfg, name)
     assert np.shape(value) == () and got == value

@@ -15,8 +15,8 @@ from outpainter.model import OutpaintingModel
 
 
 def write_tiny_model(path):
-    cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2)
-    save_model(str(path), OutpaintingModel(cfg, seed=0, control_hidden=8))
+    cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2, control_hidden=8)
+    save_model(str(path), OutpaintingModel(cfg, seed=0))
 
 
 def dir_bytes(d):
@@ -209,8 +209,8 @@ def test_exit_code_bad_checkpoint_manifest(tmp_path, capsys):
 
 
 def test_exit_code_non_finite_weights(tmp_path, capsys):
-    net = OutpaintingModel(BackboneConfig(n_blocks=2, d_model=16, n_heads=2), seed=0,
-                           control_hidden=8)
+    net = OutpaintingModel(BackboneConfig(n_blocks=2, d_model=16, n_heads=2, control_hidden=8),
+                           seed=0)
     net.backbone.head.W.data[:] = np.nan
     model = tmp_path / "m.bin"
     save_model(str(model), net)

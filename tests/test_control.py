@@ -10,8 +10,8 @@ from outpainter.tensor import Tensor, no_grad
 
 
 def make_branch(seed=0, hidden=8, d_model=16):
-    return ControlBranch(np.random.default_rng(seed), d_latent=48, d_model=d_model,
-                         hidden=hidden)
+    return ControlBranch(np.random.default_rng(seed),
+                         BackboneConfig(d_model=d_model, control_hidden=hidden))
 
 
 def test_zero_input_zero_bias_gives_zero_features():
@@ -133,10 +133,6 @@ def test_feature_stats_blocks_gradient_by_default():
     x = Tensor(rng.standard_normal((10, 4)), requires_grad=True)
     mu, sigma = feature_stats(x * 2.0)
     assert not mu.requires_grad and not sigma.requires_grad
-    mu2, sigma2 = feature_stats(x * 2.0, flow_gradient=True)
-    assert mu2.requires_grad and sigma2.requires_grad
-    np.testing.assert_allclose(mu.data, mu2.data, atol=1e-12)
-    np.testing.assert_allclose(sigma.data, sigma2.data, atol=1e-6)
 
 
 def test_inject_is_sum_and_validates():
@@ -163,8 +159,8 @@ def test_inject_is_sum_and_validates():
 
 
 def test_gradient_reaches_conv_weights_through_injection():
-    cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2, gamma=0.5)
-    model = OutpaintingModel(cfg, seed=0, control_hidden=8)
+    cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2, gamma=0.5, control_hidden=8)
+    model = OutpaintingModel(cfg, seed=0)
     rng = np.random.default_rng(10)
     z_t = rng.standard_normal((2, 2, 2, 48))
     z_masked = rng.standard_normal((2, 2, 2, 48))
@@ -177,13 +173,17 @@ def test_gradient_reaches_conv_weights_through_injection():
 
 def test_control_param_budget_at_default_config():
     model = OutpaintingModel(BackboneConfig(), seed=0)
-    assert model.control_param_fraction() < 0.05
+
+    def size(module):
+        return sum(p.size for _, p in module.named_params())
+
+    assert size(model.control) / size(model.backbone) < 0.05
 
 
 def test_model_matches_manual_composition():
     # eps_tensor == backbone forward with align(extract(...)) added after block 1
-    cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2, gamma=0.5)
-    model = OutpaintingModel(cfg, seed=3, control_hidden=8)
+    cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2, gamma=0.5, control_hidden=8)
+    model = OutpaintingModel(cfg, seed=3)
     rng = np.random.default_rng(11)
     z_t = rng.standard_normal((2, 2, 2, 48))
     z_masked = rng.standard_normal((2, 2, 2, 48))
@@ -207,8 +207,8 @@ def test_model_matches_manual_composition():
 
 
 def test_batched_eps_tensor_equals_per_embedding_calls():
-    cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2, gamma=0.5)
-    model = OutpaintingModel(cfg, seed=4, control_hidden=8)
+    cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2, gamma=0.5, control_hidden=8)
+    model = OutpaintingModel(cfg, seed=4)
     rng = np.random.default_rng(12)
     for _, p in model.named_params():
         p.data = p.data + rng.normal(0.0, 0.05, p.data.shape)

@@ -271,8 +271,8 @@ def test_sampler_non_finite_result_raises():
 def guided_model(seed=0):
     """A small model moved off its zero init, so the text embedding reaches
     the output and guidance changes the result."""
-    model = OutpaintingModel(BackboneConfig(n_blocks=2, d_model=16, n_heads=2), seed=seed,
-                             control_hidden=8)
+    model = OutpaintingModel(BackboneConfig(n_blocks=2, d_model=16, n_heads=2,
+                                            control_hidden=8), seed=seed)
     rng = np.random.default_rng(seed)
     for _, p in model.named_params():
         p.data = p.data + rng.normal(0.0, 0.05, p.data.shape)

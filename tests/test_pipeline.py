@@ -15,8 +15,8 @@ SCHED = make_schedule()
 
 
 def tiny_model(seed=0):
-    cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2)
-    return OutpaintingModel(cfg, seed=seed, control_hidden=8)
+    cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2, control_hidden=8)
+    return OutpaintingModel(cfg, seed=seed)
 
 
 def test_eval_mask_spec_validation():

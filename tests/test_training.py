@@ -214,8 +214,8 @@ def test_synth_video_deterministic():
 
 
 def _tiny_model():
-    return OutpaintingModel(BackboneConfig(n_blocks=2, d_model=16, n_heads=2, gamma=0.5),
-                            seed=0, control_hidden=8)
+    return OutpaintingModel(BackboneConfig(n_blocks=2, d_model=16, n_heads=2, gamma=0.5,
+                                           control_hidden=8), seed=0)
 
 
 def _tiny_sample(rng, t=100):
@@ -230,7 +230,7 @@ def test_train_step_zero_lr_is_pure_evaluation():
     sched = make_schedule(T=1000)
     rng = np.random.default_rng(6)
     before = {n: p.data.copy() for n, p in model.named_params()}
-    opt = SGD(model.params(), lr=0.0)
+    opt = SGD(model.trainable_params(), lr=0.0)
     train_step(model, _tiny_sample(rng), LossConfig(), opt, sched)
     for n, p in model.named_params():
         np.testing.assert_array_equal(p.data, before[n], err_msg=n)
@@ -240,7 +240,7 @@ def test_train_step_updates_params_and_reports_losses():
     model = _tiny_model()
     sched = make_schedule(T=1000)
     rng = np.random.default_rng(7)
-    opt = SGD(model.params(), lr=1e-3)
+    opt = SGD(model.trainable_params(), lr=1e-3)
     out = train_step(model, _tiny_sample(rng, t=100), LossConfig(), opt, sched)
     assert out["total"] == pytest.approx(out["eps"] + 0.02 * out["latent"])
     assert out["latent"] > 0.0
@@ -264,7 +264,7 @@ def test_train_step_aborts_on_non_finite():
     model.backbone.head.W.data[:] = np.nan
     sched = make_schedule(T=1000)
     rng = np.random.default_rng(9)
-    opt = SGD(model.params(), lr=1e-3)
+    opt = SGD(model.trainable_params(), lr=1e-3)
     with pytest.raises(NumericalError):
         train_step(model, _tiny_sample(rng), LossConfig(), opt, sched)
 
@@ -308,7 +308,7 @@ def test_single_sample_overfit_descends():
     rng = np.random.default_rng(0)
     sample = TrainSample(synth_video(rng, 8, 8, 2), sample_training_mask(8, 8, 2, rng),
                          100, rng.standard_normal((2, 2, 2, 48)))
-    opt = SGD(model.params(), lr=3e-2)
+    opt = SGD(model.trainable_params(), lr=3e-2)
     first = last = None
     for _ in range(200):
         out = train_step(model, sample, LossConfig(), opt, sched)

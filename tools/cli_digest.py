@@ -26,7 +26,13 @@ sys.path.insert(0, os.path.abspath("src"))
 
 from outpainter.cli import entry  # noqa: E402
 
-TRAIN_CONFIG = "shape = 16x16x8\nsteps = 30\nlr = 0.01\nseed = 0\n"
+# config file -> contents; the second sets every architecture key away from
+# its default, so a key the CLI fails to pass on changes the listing
+CONFIGS = {
+    "train.cfg": "shape = 16x16x8\nsteps = 30\nlr = 0.01\nseed = 0\n",
+    "arch.cfg": ("shape = 16x16x8\nsteps = 5\nlr = 0.01\nseed = 0\nn_blocks = 2\n"
+                 "d_model = 32\nn_heads = 2\ngamma = 0.25\ncontrol_hidden = 8\n"),
+}
 
 # (name, argv) in run order; later commands read earlier outputs
 MATRIX = [
@@ -61,6 +67,10 @@ MATRIX = [
     ("refine-mid", ["refine", "--input", "mid", "--template", "mid-template",
                     "--out", "refined-mid"]),
     ("eval", ["eval", "clip", "out-cfg3"]),
+    ("train-arch", ["train", "--config", "arch.cfg", "--out", "arch.bin"]),
+    ("outpaint-arch", ["outpaint", "--model", "arch.bin", "--input", "clip",
+                       "--out", "out-arch", "--mask-ratio", "0.25", "--steps", "10",
+                       "--cfg-scale", "3", "--seed", "10"]),
 ]
 
 
@@ -79,8 +89,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            with open("train.cfg", "w") as f:
-                f.write(TRAIN_CONFIG)
+            for fn, text in CONFIGS.items():
+                with open(fn, "w") as f:
+                    f.write(text)
             for name, argv in MATRIX:
                 _run(name, argv)
             lines = []
