@@ -4,8 +4,9 @@ Layout: ASCII decimal byte length of the manifest plus newline, the
 manifest itself (one `name shape offset` line per array, shape as
 comma-joined dims or `-` for scalars, offset into the data section),
 then the raw little-endian float64 blobs back to back. Loading requires
-exactly that: each offset is the previous array's end, and the last
-array ends where the file does.
+exactly that: a header length inside the file, an ASCII manifest, each
+offset the previous array's end, and the last array ending where the
+file does.
 
 Checkpoints are self-describing: model files start with one `meta/<field>`
 scalar per BackboneConfig field, in declaration order, so loading needs no
@@ -13,6 +14,7 @@ side channel. Each must be a finite scalar, and an integral one where the
 field is an integer.
 """
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -54,12 +56,18 @@ def load_arrays(path: str) -> dict:
     """Read a checkpoint back into an ordered name -> array dict."""
     with open(path, "rb") as f:
         head = f.readline()
-        try:
-            manifest_len = int(head.decode("ascii").strip())
-        except (UnicodeDecodeError, ValueError):
-            raise ValueError(f"{path}: malformed checkpoint header") from None
-        manifest = f.read(manifest_len).decode("ascii")
-        data = f.read()
+        body = f.read()
+    try:
+        manifest_len = int(head.decode("ascii").strip())
+        if not 0 <= manifest_len <= len(body):
+            raise ValueError
+    except (UnicodeDecodeError, ValueError):
+        raise ValueError(f"{path}: malformed checkpoint header") from None
+    try:
+        manifest = body[:manifest_len].decode("ascii")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: malformed checkpoint manifest (not ASCII)") from None
+    data = memoryview(body)[manifest_len:]
     out = {}
     end = 0  # the arrays must tile the data section in manifest order
     for line in manifest.splitlines():
@@ -78,8 +86,7 @@ def load_arrays(path: str) -> dict:
                              "(arrays must be stored back to back)")
         if name in out:
             raise ValueError(f"{path}: duplicate array name {name!r}")
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
+        end = offset + 8 * math.prod(shape)
         if end > len(data):
             raise ValueError(f"{path}: array {name!r} overruns the data section")
         out[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()

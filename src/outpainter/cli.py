@@ -33,7 +33,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_sampler_flags(p):
+def _add_outpaint_flags(p):
+    """The flags `outpaint` and `outpaint-long` share."""
+    p.add_argument("--model", required=True)
+    p.add_argument("--input", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--mask-ratio", type=float, required=True)
+    p.add_argument("--direction", choices=("horizontal", "vertical"), default="horizontal")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--cfg-scale", type=float, default=3.0)
 
@@ -48,26 +55,13 @@ def _build_parser() -> _Parser:
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--quiet", action="store_true")
 
-    o = sub.add_parser("outpaint", help="outpaint one clip")
-    o.add_argument("--model", required=True)
-    o.add_argument("--input", required=True)
-    o.add_argument("--out", required=True)
-    o.add_argument("--mask-ratio", type=float, required=True)
-    o.add_argument("--direction", choices=("horizontal", "vertical"), default="horizontal")
-    o.add_argument("--seed", type=int, default=0)
-    _add_sampler_flags(o)
+    _add_outpaint_flags(sub.add_parser("outpaint", help="outpaint one clip"))
 
     g = sub.add_parser("outpaint-long", help="outpaint a long video clip by clip")
-    g.add_argument("--model", required=True)
-    g.add_argument("--input", required=True)
-    g.add_argument("--out", required=True)
-    g.add_argument("--mask-ratio", type=float, required=True)
-    g.add_argument("--direction", choices=("horizontal", "vertical"), default="horizontal")
+    _add_outpaint_flags(g)
     g.add_argument("--clip-frames", type=int, default=29)
     g.add_argument("--overlap", type=int, default=3)
     g.add_argument("--no-refine", action="store_true")
-    g.add_argument("--seed", type=int, default=0)
-    _add_sampler_flags(g)
 
     r = sub.add_parser("refine", help="match a clip's colors to an overlap template")
     r.add_argument("--input", required=True)

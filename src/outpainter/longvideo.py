@@ -5,10 +5,10 @@ A long video is generated clip by clip. Each clip reuses the K frames it
 shares with the already-generated output as fully-given condition frames,
 and its colors are then matched to the previous clip through the shared
 overlap: first a per-channel mean/variance alignment, then 256-bin
-histogram matching. Both map each 8-bit level to one level, so the refiner
-runs them on a table of the 256 levels, takes its statistics from the
-overlap's 256-bin histograms as exact integer moments, and gathers its
-uint8 clip through the table.
+histogram matching. Each stage takes the source and template overlaps as
+256-bin Histograms and maps each 8-bit level to one level, so the refiner
+runs both on a table of the 256 levels, takes exact integer moments from
+the histograms, and gathers its uint8 clip through the table.
 """
 
 import math
@@ -112,27 +112,21 @@ class Histogram:
         return s1 / n, math.sqrt((n * s2 - s1 * s1) / (n * n))
 
 
-def _stage_histograms(source, template, channels: int) -> tuple:
-    """A stage's source and template as Histograms of `channels` channels."""
-    src, tmpl = ((v if isinstance(v, Histogram) else Histogram.of(name, v))
-                 for name, v in (("source", source), ("template", template)))
+def _check_channels(src: Histogram, tmpl: Histogram, channels: int) -> None:
     if src.counts.shape[1] != channels or tmpl.counts.shape[1] != channels:
         raise ValueError("channel counts disagree")
-    return src, tmpl
 
 
-def mean_variance_alignment(source, template, target: np.ndarray,
-                            clip: bool = True) -> np.ndarray:
-    """Affine-map target so source's per-channel stats become template's.
+def mean_variance_alignment(src: Histogram, tmpl: Histogram, target: np.ndarray) -> np.ndarray:
+    """Affine-map target so src's per-channel stats become tmpl's.
 
-    source and template are 8-bit values (channels trailing; statistics
-    pool every other axis of the K-frame stacks) or their Histograms. The
-    same scale and shift apply to the whole target clip. A zero-variance
-    source channel degrades to a pure shift. Returns floats; clipping to
-    [0, 255] is on by default.
+    src and tmpl are Histograms of 8-bit values (statistics pool every
+    value of a channel). The same scale and shift apply to the whole
+    target; a zero-variance source channel degrades to a pure shift.
+    Returns unclipped floats.
     """
     out = np.asarray(target, dtype=np.float64).copy()
-    src, tmpl = _stage_histograms(source, template, out.shape[-1])
+    _check_channels(src, tmpl, out.shape[-1])
     for c in range(out.shape[-1]):
         mu_s, sd_s = src.moments(c)
         mu_t, sd_t = tmpl.moments(c)
@@ -140,8 +134,6 @@ def mean_variance_alignment(source, template, target: np.ndarray,
             out[..., c] += mu_t - mu_s
         else:
             out[..., c] = (out[..., c] - mu_s) * (sd_t / sd_s) + mu_t
-    if clip:
-        out = np.clip(out, 0.0, 255.0)
     return out
 
 
@@ -164,25 +156,17 @@ def _cdf_lut(counts_s: np.ndarray, counts_t: np.ndarray) -> np.ndarray:
     return lut.astype(np.int64)
 
 
-def match_lut(source_channel: np.ndarray, template_channel: np.ndarray) -> np.ndarray:
-    """256-entry lookup mapping source values onto the template distribution.
+def histogram_matching(src: Histogram, tmpl: Histogram, target: np.ndarray) -> np.ndarray:
+    """Map each channel of the 8-bit target onto tmpl's distribution.
 
-    Both histograms become normalized CDFs; a source value's quantile is
-    located in the template CDF by leftmost exact hit, otherwise by
-    piecewise-linear interpolation between the bracketing template
-    quantiles (clamped at both ends). The result is monotone.
+    Per channel, both histograms become normalized CDFs, and a 256-entry
+    lookup sends each source level's quantile to the template CDF's
+    leftmost exact hit, otherwise to the piecewise-linear interpolation
+    between the bracketing template quantiles (clamped at both ends). The
+    lookup is monotone and is applied to the whole target.
     """
-    src = _check_u8_values("source", source_channel)
-    tmpl = _check_u8_values("template", template_channel)
-    return _cdf_lut(np.bincount(src.ravel(), minlength=256),
-                    np.bincount(tmpl.ravel(), minlength=256))
-
-
-def histogram_matching(source, template, target: np.ndarray) -> np.ndarray:
-    """Per-channel `match_lut` of (source, template) applied to the whole
-    target; source and template are 8-bit values or their Histograms."""
     tgt = _check_u8_values("target", target)
-    src, tmpl = _stage_histograms(source, template, tgt.shape[-1])
+    _check_channels(src, tmpl, tgt.shape[-1])
     out = np.empty_like(tgt)
     for c in range(tgt.shape[-1]):
         out[..., c] = _cdf_lut(src.counts[:, c], tmpl.counts[:, c])[tgt[..., c]]
@@ -192,13 +176,13 @@ def histogram_matching(source, template, target: np.ndarray) -> np.ndarray:
 def refine_clip(clip: np.ndarray, template: np.ndarray, K: int) -> np.ndarray:
     """Match a clip's colors to the previous clip via the K-frame overlap.
 
-    clip and template hold 8-bit integer values; the source statistics come
-    from the clip's own first K frames (recomputed after the first stage so
-    the histogram step sees what it will actually transform). Both stages
-    run on a (256, C) table of levels and on the overlap's histogram pushed
-    through the first stage's table; the clip is then gathered through the
-    table one frame plane at a time into a frame-major uint8 buffer, whose
-    (H, W, S, C) view is returned.
+    clip and template hold 8-bit integer values. Both stages take
+    Histograms: the template's, and as source the histogram of the clip's
+    own first K frames, pushed through the first stage's table before the
+    second so the histogram step sees what it will actually transform.
+    Both run on a (256, C) table of levels; the clip is then gathered
+    through the table one frame plane at a time into a frame-major uint8
+    buffer, whose (H, W, S, C) view is returned.
     """
     if K <= 0 or K >= clip.shape[2]:
         raise ValueError(f"overlap K={K} outside (0, {clip.shape[2]})")

@@ -234,12 +234,10 @@ def parse_train_config(text: str) -> TrainConfig:
     return cfg
 
 
-def train(model: OutpaintingModel, cfg: TrainConfig, sched: Schedule | None = None,
-          log=None) -> list:
-    """Run the loop on fresh synthetic draws; returns per-step loss dicts.
-    Deterministic under seed."""
-    if sched is None:
-        sched = make_schedule()
+def train(model: OutpaintingModel, cfg: TrainConfig, log=None) -> list:
+    """Run the loop on fresh synthetic draws under the default noise
+    schedule; returns per-step loss dicts. Deterministic under seed."""
+    sched = make_schedule()
     rng = np.random.default_rng(cfg.seed)
     H, W, S = cfg.shape
     opt = SGD(model.trainable_params(cfg.restricted), lr=cfg.lr, momentum=cfg.momentum)

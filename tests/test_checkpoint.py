@@ -1,5 +1,6 @@
 """Checkpoint serialization round trips and error handling."""
 
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -166,6 +167,38 @@ def test_bad_manifest_rejected(tmp_path):
     # a -1 dimension would let reshape infer a length from the bytes read
     write_manifest(path, ["a -1 0"], data)
     with pytest.raises(ValueError, match="malformed manifest line"):
+        load_arrays(str(path))
+
+
+def rejected_with(path, reason):
+    """load_arrays(path) raises one ValueError that names the file first."""
+    return pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {reason}")
+
+
+@pytest.mark.parametrize("length", [-1, 10**18])
+def test_header_length_outside_file_rejected(tmp_path, length):
+    # -1 would read the whole file as the manifest; 10**18 would ask for
+    # that many bytes before reading any
+    path = tmp_path / "ck.bin"
+    path.write_bytes(f"{length}\na 2 0\n".encode("ascii") + np.arange(2.0).tobytes())
+    with rejected_with(path, "malformed checkpoint header"):
+        load_arrays(str(path))
+
+
+def test_non_ascii_manifest_rejected(tmp_path):
+    path = tmp_path / "ck.bin"
+    manifest = "\u00e9 1 0\n".encode("utf-8")
+    path.write_bytes(f"{len(manifest)}\n".encode("ascii") + manifest + bytes(8))
+    with rejected_with(path, "malformed checkpoint manifest"):
+        load_arrays(str(path))
+
+
+@pytest.mark.parametrize("shape", ["8589934592,2147483648", "3,4611686018427387904"])
+def test_shape_overflowing_int64_rejected(tmp_path, shape):
+    # the element count wraps to 0 or a negative number in int64
+    path = tmp_path / "ck.bin"
+    write_manifest(path, [f"a {shape} 0"], bytes(8))
+    with rejected_with(path, "array 'a' overruns the data section"):
         load_arrays(str(path))
 
 

@@ -17,12 +17,25 @@ from outpainter.longvideo import (
     assemble,
     build_condition,
     histogram_matching,
-    match_lut,
     mean_variance_alignment,
     plan_clips,
     refine_clip,
 )
 from outpainter.util import quantize_u8
+
+
+def hists(src, tmpl):
+    """The stage inputs: source and template values as Histograms."""
+    return Histogram.of("source", src), Histogram.of("template", tmpl)
+
+
+def level_map(source_vals, template_vals):
+    """histogram_matching's 256-entry level map for one channel of values,
+    as int64 so that np.diff cannot wrap."""
+    levels = np.arange(256, dtype=np.uint8)[:, None]
+    lut = histogram_matching(*hists(np.asarray(source_vals)[..., None],
+                                    np.asarray(template_vals)[..., None]), levels)
+    return lut[:, 0].astype(np.int64)
 
 
 def brute_force_lut(source_vals, template_vals):
@@ -167,7 +180,7 @@ def test_build_condition_errors():
 def test_mv_alignment_identity_when_stats_match():
     rng = np.random.default_rng(3)
     src = rng.integers(0, 256, size=(4, 4, 3, 3)).astype(float)
-    out = mean_variance_alignment(src, src.copy(), src, clip=False)
+    out = mean_variance_alignment(*hists(src, src.copy()), src)
     assert np.abs(out - src).max() <= 1e-10
 
 
@@ -176,9 +189,9 @@ def test_mv_alignment_constant_shift_path():
     tmpl = np.full((2, 2, 3, 3), 150.0)
     target = np.full((2, 2, 5, 3), 100.0)
     target[0, 0, 0, 0] = 220.0
-    out = mean_variance_alignment(src, tmpl, target)
+    out = mean_variance_alignment(*hists(src, tmpl), target)
     assert out[1, 1, 1, 1] == 150.0
-    assert out[0, 0, 0, 0] == 255.0  # 220 + 50 clipped
+    assert out[0, 0, 0, 0] == 270.0  # 220 + 50, unclipped: quantize_u8 saturates
 
 
 def test_mv_alignment_reproduces_template_stats():
@@ -187,7 +200,7 @@ def test_mv_alignment_reproduces_template_stats():
         K = int(rng.integers(1, 4))
         src = rng.integers(0, 256, size=(2, 2, K, 3)).astype(float)
         tmpl = rng.integers(0, 256, size=(2, 2, K, 3)).astype(float)
-        out = mean_variance_alignment(src, tmpl, src, clip=False)
+        out = mean_variance_alignment(*hists(src, tmpl), src)
         for c in range(3):
             assert abs(out[..., c].mean() - tmpl[..., c].mean()) <= 1e-6
             assert abs(out[..., c].std() - tmpl[..., c].std()) <= 1e-6
@@ -198,7 +211,7 @@ def test_mv_alignment_same_transform_whole_clip():
     src = rng.integers(0, 256, size=(2, 2, 2, 3)).astype(float)
     tmpl = rng.integers(0, 256, size=(2, 2, 2, 3)).astype(float)
     target = rng.integers(0, 256, size=(2, 2, 6, 3)).astype(float)
-    out = mean_variance_alignment(src, tmpl, target, clip=False)
+    out = mean_variance_alignment(*hists(src, tmpl), target)
     # equal inputs in the same channel map to equal outputs
     flat_in = target[..., 0].ravel()
     flat_out = out[..., 0].ravel()
@@ -213,20 +226,20 @@ def test_mv_alignment_same_transform_whole_clip():
 def test_lut_identity_for_occurring_values():
     rng = np.random.default_rng(6)
     vals = rng.integers(0, 256, size=500)
-    lut = match_lut(vals, vals.copy())
+    lut = level_map(vals, vals.copy())
     for v in np.unique(vals):
         assert lut[v] == v
 
 
 def test_lut_degenerate_all_zero_to_all_255():
-    lut = match_lut(np.zeros(10, dtype=int), np.full(10, 255, dtype=int))
+    lut = level_map(np.zeros(10, dtype=int), np.full(10, 255, dtype=int))
     assert (lut == 255).all()
 
 
 def test_lut_spec_example_four_pixels():
     src = np.array([0, 0, 128, 255])
     tmpl = np.array([64, 64, 64, 255])
-    lut = match_lut(src, tmpl)
+    lut = level_map(src, tmpl)
     assert lut[0] == 64  # quantile 0.5 interpolated between (0@63) and (0.75@64)
     assert lut[128] == 64  # exact hit on 0.75, leftmost index of the run
     assert lut[255] == 255
@@ -239,7 +252,7 @@ def test_lut_matches_brute_force_oracle():
         n_s, n_t = int(rng.integers(1, 60)), int(rng.integers(1, 60))
         src = rng.integers(0, 256, size=n_s)
         tmpl = rng.integers(0, 256, size=n_t)
-        np.testing.assert_array_equal(match_lut(src, tmpl), brute_force_lut(src, tmpl))
+        np.testing.assert_array_equal(level_map(src, tmpl), brute_force_lut(src, tmpl))
 
 
 def test_lut_monotone():
@@ -247,7 +260,7 @@ def test_lut_monotone():
     for _ in range(30):
         src = rng.integers(0, 256, size=40)
         tmpl = rng.integers(0, 256, size=40)
-        assert (np.diff(match_lut(src, tmpl)) >= 0).all()
+        assert (np.diff(level_map(src, tmpl)) >= 0).all()
 
 
 def test_histogram_matching_applies_lut_per_channel():
@@ -255,20 +268,22 @@ def test_histogram_matching_applies_lut_per_channel():
     src = rng.integers(0, 256, size=(2, 2, 2, 3))
     tmpl = rng.integers(0, 256, size=(2, 2, 2, 3))
     tgt = rng.integers(0, 256, size=(2, 2, 5, 3))
-    out = histogram_matching(src, tmpl, tgt)
+    out = histogram_matching(*hists(src, tmpl), tgt)
     for c in range(3):
-        lut = match_lut(src[..., c], tmpl[..., c])
+        lut = brute_force_lut(src[..., c], tmpl[..., c])
         np.testing.assert_array_equal(out[..., c], lut[tgt[..., c]])
 
 
 def test_histogram_matching_rejects_non_integers():
     ok = np.zeros((2, 2, 1, 3))
     with pytest.raises(ValueError):
-        histogram_matching(ok + 0.5, ok, ok)
+        histogram_matching(*hists(ok + 0.5, ok), ok)
     with pytest.raises(ValueError):
-        histogram_matching(ok, ok + 300, ok)
+        histogram_matching(*hists(ok, ok + 300), ok)
     with pytest.raises(ValueError):
-        match_lut(np.array([]), np.array([0]))
+        histogram_matching(*hists(ok, ok), ok + 0.5)
+    with pytest.raises(ValueError):
+        level_map(np.array([]), np.array([0]))
 
 
 # ---- composed refiner ------------------------------------------------------
@@ -322,10 +337,10 @@ def test_refine_clip_stage_toggles():
     tmpl = rng.integers(0, 256, size=(4, 4, 2, 3))
     # mean/variance alignment quantized to 8 bits, then histogram matching
     # with the stage-one overlap frames as the source
-    mv = quantize_u8(mean_variance_alignment(clip[:, :, :2].astype(float),
-                                             tmpl.astype(float), clip.astype(float)))
+    mv = quantize_u8(mean_variance_alignment(*hists(clip[:, :, :2], tmpl),
+                                             clip.astype(float)))
     np.testing.assert_array_equal(refine_clip(clip, tmpl, K=2),
-                                  histogram_matching(mv[:, :, :2], tmpl, mv))
+                                  histogram_matching(*hists(mv[:, :, :2], tmpl), mv))
 
 
 @st.composite
@@ -360,9 +375,9 @@ def refine_cases(draw):
 def test_refine_clip_equals_per_pixel_stages(case):
     # the 256-level tables give what running both stages on every pixel gives
     clip, tmpl, K = case
-    mv = quantize_u8(mean_variance_alignment(clip[:, :, :K].astype(float),
-                                             tmpl.astype(float), clip.astype(float)))
-    want = histogram_matching(mv[:, :, :K], tmpl, mv)
+    mv = quantize_u8(mean_variance_alignment(*hists(clip[:, :, :K], tmpl),
+                                             clip.astype(float)))
+    want = histogram_matching(*hists(mv[:, :, :K], tmpl), mv)
     for dtype in (np.uint8, np.int64):
         got = refine_clip(clip.astype(dtype), tmpl.astype(dtype), K)
         assert got.dtype == np.uint8
@@ -386,9 +401,9 @@ def test_refine_clip_same_bytes_for_any_layout(case):
 def test_mv_alignment_same_for_any_layout(case):
     clip, tmpl, K = case
     levels = np.repeat(np.arange(256.0)[:, None], clip.shape[-1], axis=1)
-    want = mean_variance_alignment(clip[:, :, :K], tmpl, levels, clip=False)
-    got = mean_variance_alignment(frame_major(clip)[:, :, :K], frame_major(tmpl), levels,
-                                  clip=False)
+    want = mean_variance_alignment(*hists(clip[:, :, :K], tmpl), levels)
+    got = mean_variance_alignment(*hists(frame_major(clip)[:, :, :K], frame_major(tmpl)),
+                                  levels)
     assert got.tobytes() == want.tobytes()
 
 

@@ -388,7 +388,7 @@ def test_train_loop_deterministic_and_logs():
         cfg = TrainConfig(shape=(8, 8, 2), steps=4, lr=1e-3, seed=11,
                           n_blocks=2, d_model=16, n_heads=2, control_hidden=8)
         log = io.StringIO()
-        hist = train(model, cfg, make_schedule(T=1000), log=log)
+        hist = train(model, cfg, log=log)
         return hist, log.getvalue()
 
     h1, log1 = run()
