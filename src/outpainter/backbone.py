@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import LATENT_DEPTH
 from .nn import Linear, Module, layer_norm, param, sinusoid_table
 from .tensor import Tensor, stack
 
@@ -26,14 +27,22 @@ class BackboneConfig:
     n_heads: int = 4
     gamma: float = 0.5
     mlp_ratio: int = 4
-    d_latent: int = 48
+    d_latent: int = LATENT_DEPTH  # the codec's; no other depth runs
     t_dim: int = 128
     control_hidden: int = 16  # the control branch's conv width
 
     def __post_init__(self):
-        for name in ("d_model", "n_heads", "mlp_ratio", "d_latent", "t_dim", "control_hidden"):
+        for name in ("n_heads", "mlp_ratio", "t_dim", "control_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # so that position_encoding gives each axis 2 or more channels
+        if self.d_model % 2 or self.d_model < 6:
+            raise ValueError(f"d_model must be even and >= 6, got {self.d_model}")
+        if self.t_dim % 2:
+            raise ValueError(f"t_dim must be even, got {self.t_dim}")
+        if self.d_latent != LATENT_DEPTH:
+            raise ValueError(f"d_latent must be the codec's latent depth {LATENT_DEPTH}, "
+                             f"got {self.d_latent}")
         if self.d_model % self.n_heads:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
         if self.gamma < 0:
@@ -100,18 +109,6 @@ def mask_multipliers(scaler: MaskScaler, m_tokens: Tensor, gamma: float) -> Tens
     return scaler(m_tokens) * gamma + 1.0
 
 
-@functools.lru_cache(maxsize=8)
-def _chunk_indices(lead: tuple, d: int) -> tuple:
-    """Flat take indices cutting an (*lead, 1, 4d) modulation into its four
-    (*lead, 1, d) chunks. Cached by shape, so the arrays are shared between
-    callers and read-only."""
-    rows = np.arange(int(np.prod(lead, dtype=np.int64)))[:, None] * (4 * d) + np.arange(d)
-    chunks = tuple((rows + k * d).reshape(lead + (1, d)) for k in range(4))
-    for c in chunks:
-        c.flags.writeable = False
-    return chunks
-
-
 class Attention(Module):
     def __init__(self, rng, d_model: int, n_heads: int):
         self.n_heads = n_heads
@@ -151,8 +148,9 @@ class Attention(Module):
 class Block(Module):
     """Pre-norm residual block with adaptive scale/shift conditioning.
 
-    The conditioning projection is zero-initialized, so a fresh block is
-    exactly a plain pre-norm transformer block regardless of t.
+    The conditioning projection gives four d-wide chunks (shift and scale
+    for attention, then for the MLP) and is zero-initialized, so a fresh
+    block is exactly a plain pre-norm transformer block regardless of t.
     """
 
     def __init__(self, rng, cfg: BackboneConfig):
@@ -162,17 +160,16 @@ class Block(Module):
         self.mlp_fc2 = Linear(rng, cfg.mlp_ratio * d, d)
         self.ada = Linear(rng, d, 4 * d, zero_init=True)
         self.scaler = MaskScaler(rng)
-        self.d_model = d
 
     def __call__(self, x: Tensor, cond: Tensor, multipliers: Tensor) -> Tensor:
         """cond: (..., d), one conditioning vector per sequence; x: the
         (..., L, d) sequences, or one (L, d) sequence all of them share."""
-        d = self.d_model
-        lead = cond.shape[:-1]
+        d = cond.shape[-1]
         # one row per matmul keeps each sequence's modulation bit-identical
         # to an unbatched call
-        mod = self.ada(cond.reshape(lead + (1, d)))
-        shift1, scale1, shift2, scale2 = (mod.take(i) for i in _chunk_indices(lead, d))
+        mod = self.ada(cond.reshape(cond.shape[:-1] + (1, d)))
+        chunks = np.arange(mod.size).reshape(mod.shape[:-1] + (4, d))
+        shift1, scale1, shift2, scale2 = (mod.take(chunks[..., k, :]) for k in range(4))
 
         h = layer_norm(x) * (scale1 + 1.0) + shift1
         x = x + self.attn(h, multipliers)

@@ -15,12 +15,15 @@ frame-major buffer.
 
 import numpy as np
 
-PATCH = 4  # space-to-depth factor; latent depth is 3*PATCH**2
+PATCH = 4  # space-to-depth factor
+LATENT_DEPTH = 3 * PATCH * PATCH
 
 
-def _check_divisible(H: int, W: int) -> None:
+def latent_shape(H: int, W: int, S: int) -> tuple:
+    """The (h, w, s, d) latent shape of an (H, W, S, 3) video."""
     if H % PATCH or W % PATCH:
         raise ValueError(f"spatial dims ({H},{W}) not divisible by patch factor {PATCH}")
+    return H // PATCH, W // PATCH, S, LATENT_DEPTH
 
 
 def encode(x: np.ndarray) -> np.ndarray:
@@ -34,10 +37,9 @@ def encode(x: np.ndarray) -> np.ndarray:
     if x.ndim != 4 or x.shape[3] != 3:
         raise ValueError(f"expected (H, W, S, 3) video, got {x.shape}")
     H, W, S, C = x.shape
-    _check_divisible(H, W)
-    h, w = H // PATCH, W // PATCH
+    h, w, _, d = latent_shape(H, W, S)
     z = x.reshape(h, PATCH, w, PATCH, S, C).transpose(0, 2, 4, 1, 3, 5)
-    return np.ascontiguousarray(z.reshape(h, w, S, PATCH * PATCH * C))
+    return np.ascontiguousarray(z.reshape(h, w, S, d))
 
 
 def decode(z: np.ndarray) -> np.ndarray:
@@ -46,8 +48,8 @@ def decode(z: np.ndarray) -> np.ndarray:
     if z.ndim != 4:
         raise ValueError(f"expected (h, w, s, d) latents, got {z.shape}")
     h, w, S, d = z.shape
-    if d != 3 * PATCH * PATCH:
-        raise ValueError(f"latent depth {d} != 3*p^2 = {3 * PATCH * PATCH}")
+    if d != LATENT_DEPTH:
+        raise ValueError(f"latent depth {d} != 3*p^2 = {LATENT_DEPTH}")
     x = z.reshape(h, w, S, PATCH, PATCH, 3).transpose(0, 3, 1, 4, 2, 5)
     return np.ascontiguousarray(x.reshape(h * PATCH, w * PATCH, S, 3))
 
@@ -64,9 +66,8 @@ def downsample_mask(M: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (H, W, S, 1) mask, got {M.shape}")
     if not np.isin(M, (0.0, 1.0)).all():
         raise ValueError("pixel mask must be binary")
-    H, W, S, _ = M.shape
-    _check_divisible(H, W)
-    return M.reshape(H // PATCH, PATCH, W // PATCH, PATCH, S, 1).mean(axis=(1, 3))
+    h, w, S, _ = latent_shape(*M.shape[:3])
+    return M.reshape(h, PATCH, w, PATCH, S, 1).mean(axis=(1, 3))
 
 
 def band_mask(H: int, W: int, S: int, horizontal: bool, first: int, second: int) -> np.ndarray:

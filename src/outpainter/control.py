@@ -11,7 +11,7 @@ import functools
 import numpy as np
 
 from .backbone import BackboneConfig, tokenize, untokenize
-from .nn import Linear, Module, Tensor, param
+from .nn import Linear, Module, Tensor
 
 
 @functools.lru_cache(maxsize=32)
@@ -30,12 +30,12 @@ def _patch_indices(h: int, w: int, s: int, c: int) -> np.ndarray:
     return flat
 
 
-class Conv3x3(Module):
-    """3x3, stride 1, zero same-padding, applied independently per frame."""
+class Conv3x3(Linear):
+    """3x3, stride 1, zero same-padding, applied independently per frame:
+    a Linear map from each site's (9*c_in) patch to c_out channels."""
 
     def __init__(self, rng, c_in: int, c_out: int):
-        self.W = param(rng, (9 * c_in, c_out), scale=1.0 / np.sqrt(9 * c_in))
-        self.b = Tensor(np.zeros(c_out), requires_grad=True)
+        super().__init__(rng, 9 * c_in, c_out)
         self.c_in = c_in
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -45,7 +45,7 @@ class Conv3x3(Module):
             raise ValueError(f"expected {self.c_in} channels, got {c}")
         xp = x.pad(((1, 1), (1, 1), (0, 0), (0, 0)))
         cols = xp.take(_patch_indices(h, w, s, c))  # (h*w*s tokens, 9c)
-        return untokenize(cols @ self.W + self.b, (h, w, s))
+        return untokenize(super().__call__(cols), (h, w, s))
 
 
 class ControlBranch(Module):

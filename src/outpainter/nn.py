@@ -30,8 +30,7 @@ class Module:
 def param(rng: np.random.Generator, shape, scale: float | None = None) -> Tensor:
     """Gaussian-initialized trainable tensor; default scale 1/sqrt(fan_in)."""
     if scale is None:
-        fan_in = shape[0] if len(shape) > 1 else shape[-1]
-        scale = 1.0 / np.sqrt(fan_in)
+        scale = 1.0 / np.sqrt(shape[0])
     return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
 
 

@@ -14,10 +14,11 @@ Conventions:
     * gradients accumulate: calling backward twice doubles a leaf's ``.grad``
     * intermediate results never get a ``.grad``; the tape itself is kept,
       so backward can run again over the same graph
-    * tensors are immutable after creation, except ``.grad`` accumulation,
-      explicit parameter updates performed by an optimizer between
-      backward passes, and ``softmax(reuse_input=True)``, which hands a
-      temporary's array to its result
+    * tensors are immutable after creation, except ``.grad``, which
+      backward replaces rather than writes into, explicit parameter updates
+      performed by an optimizer between backward passes, and
+      ``softmax(reuse_input=True)``, which hands a temporary's array to
+      its result
     * a graph must stay confined to one thread during backward
 """
 
@@ -70,8 +71,10 @@ class Tensor:
 
     ``grad`` is a plain numpy array of the same shape, populated by
     ``backward()`` on leaves only (requires_grad and no recorded op) and
-    accumulated across calls until reset to None. Results of operations
-    keep ``grad`` None.
+    accumulated across calls until reset to None. A leaf's first gradient
+    is the incoming array itself, which may share memory with other
+    gradients of the same pass, so replace a ``.grad`` rather than
+    writing into it. Results of operations keep ``grad`` None.
     """
 
     # keep numpy from consuming us in mixed expressions; reflected ops win
@@ -113,8 +116,8 @@ class Tensor:
         The loss must be a scalar (size 1). Only leaves, tensors created
         with requires_grad=True, receive ``.grad``; intermediate gradients
         are freed as soon as they have been passed to the parents.
-        Contributions from this call are added onto any gradient already
-        present.
+        Contributions from this call are added to any gradient already
+        present, into a new array.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
@@ -147,9 +150,7 @@ class Tensor:
                 continue
             if node._bw is None:
                 if node.requires_grad:
-                    if node.grad is None:
-                        node.grad = np.zeros_like(node.data)
-                    node.grad += g
+                    node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._bw(g)):
                 if pg is None:

@@ -87,6 +87,19 @@ def test_position_encoding_distinguishes_axes():
                                    atol=1e-12)
 
 
+def test_every_accepted_d_model_encodes_sites_distinctly():
+    accepted = []
+    for d_model in range(1, 65):
+        try:
+            BackboneConfig(d_model=d_model, n_heads=1)
+        except ValueError:
+            continue
+        accepted.append(d_model)
+        pe = position_encoding((3, 3, 2), d_model)
+        assert len({tuple(np.round(row, 9)) for row in pe}) == 18, d_model
+    assert accepted == list(range(6, 65, 2))
+
+
 def test_mask_scaler_bounded():
     rng = np.random.default_rng(2)
     scaler = MaskScaler(rng)

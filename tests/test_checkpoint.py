@@ -1,5 +1,6 @@
 """Checkpoint serialization round trips and error handling."""
 
+import hashlib
 import re
 from dataclasses import fields, replace
 
@@ -86,6 +87,17 @@ def test_model_manifest_starts_with_meta_in_field_order(tmp_path):
     assert names[:8] == ["meta/n_blocks", "meta/d_model", "meta/n_heads", "meta/gamma",
                          "meta/mlp_ratio", "meta/d_latent", "meta/t_dim", "meta/control_hidden"]
     assert not any(name.startswith("meta/") for name in names[8:])
+
+
+def test_default_parameter_manifest_is_pinned():
+    """Checkpoints load only while parameter names, shapes and order hold."""
+    named = OutpaintingModel(BackboneConfig()).named_params()
+    assert len(named) == 90 and sum(p.size for _, p in named) == 297_268
+    shapes = dict((name, p.shape) for name, p in named)
+    assert shapes["control.conv1.W"] == (441, 16) and shapes["control.conv1.b"] == (16,)
+    listing = "".join(f"{name} {','.join(map(str, p.shape))}\n" for name, p in named)
+    assert hashlib.sha256(listing.encode()).hexdigest() == (
+        "141ca18c0430ddaa5fb69b3188e559e2737918dc4365dc6a8531b931e3d280ce")
 
 
 def test_loaded_model_same_prediction(tmp_path):
@@ -243,6 +255,9 @@ def with_meta(path, name, value):
     ("n_heads", 0.0, "n_heads must be >= 1"),
     ("control_hidden", 0.0, "control_hidden must be >= 1"),
     ("control_hidden", 1e9, "meta/ sizes exceed the stored arrays"),
+    ("d_model", 4.0, "d_model must be even and >= 6, got 4"),
+    ("t_dim", 127.0, "t_dim must be even, got 127"),
+    ("d_latent", 12.0, "d_latent must be the codec's latent depth 48, got 12"),
 ])
 def test_bad_meta_value_rejected(tmp_path, name, value, message):
     path = tmp_path / "model.bin"
@@ -289,12 +304,14 @@ def test_names_with_whitespace_rejected(tmp_path_factory, name, blank):
         save_arrays(str(path), {name[:1] + blank + name[1:]: np.zeros(1), "x": np.ones(1)})
 
 
+# d_model = n_heads * head, drawn only where it is even and at least 6
+heads = st.tuples(st.integers(1, 3), st.integers(1, 8)).filter(
+    lambda nh: nh[0] * nh[1] % 2 == 0 and nh[0] * nh[1] >= 6)
 configs = st.builds(
-    lambda n_blocks, n_heads, head, gamma, ratio, half_t: BackboneConfig(
-        n_blocks=n_blocks, d_model=n_heads * head, n_heads=n_heads, gamma=gamma,
+    lambda n_blocks, nh, gamma, ratio, half_t: BackboneConfig(
+        n_blocks=n_blocks, d_model=nh[0] * nh[1], n_heads=nh[0], gamma=gamma,
         mlp_ratio=ratio, t_dim=2 * half_t),
-    st.integers(2, 3), st.integers(1, 3), st.integers(1, 4),
-    st.floats(0.0, 2.0), st.integers(1, 3), st.integers(1, 8))
+    st.integers(2, 3), heads, st.floats(0.0, 2.0), st.integers(1, 3), st.integers(1, 8))
 
 
 @given(configs, st.integers(1, 6))

@@ -144,6 +144,17 @@ def test_exit_code_unusable_train_config(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_train_rejects_unrunnable_d_model_before_any_step(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("shape=8x8x2\nsteps=1\nd_model=4\nn_heads=1\n")
+    out = tmp_path / "m.bin"
+    assert entry(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: d_model must be even and >= 6, got 4\n"
+    assert not out.exists()
+
+
 def test_exit_code_usage_errors(tmp_path, capsys):
     assert entry(["outpaint", "--bogus-flag"]) == 1
     assert entry(["no-such-command"]) == 1
