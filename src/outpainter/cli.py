@@ -11,7 +11,6 @@ import sys
 
 import numpy as np
 
-from .backbone import BackboneConfig
 from .checkpoint import load_model, save_model
 from .diffusion import SamplerConfig, make_schedule
 from .errors import NumericalError
@@ -39,10 +38,11 @@ def _add_outpaint_flags(p):
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mask-ratio", type=float, required=True)
-    p.add_argument("--direction", choices=("horizontal", "vertical"), default="horizontal")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--cfg-scale", type=float, default=3.0)
+    p.add_argument("--direction", choices=("horizontal", "vertical"),
+                   default=EvalMaskSpec.direction)
+    p.add_argument("--seed", type=int, default=SamplerConfig.seed)
+    p.add_argument("--steps", type=int, default=SamplerConfig.steps)
+    p.add_argument("--cfg-scale", type=float, default=SamplerConfig.cfg_scale)
 
 
 def _build_parser() -> _Parser:
@@ -86,9 +86,7 @@ def _cmd_train(args) -> None:
         cfg = parse_train_config(f.read())
     if args.seed is not None:
         cfg.seed = args.seed
-    bcfg = BackboneConfig(n_blocks=cfg.n_blocks, d_model=cfg.d_model, n_heads=cfg.n_heads,
-                          gamma=cfg.gamma, control_hidden=cfg.control_hidden)
-    model = OutpaintingModel(bcfg, seed=cfg.seed)
+    model = OutpaintingModel(cfg.model, seed=cfg.seed)
     train(model, cfg, log=None if args.quiet else sys.stdout)
     save_model(args.out, model)
 

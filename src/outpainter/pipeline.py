@@ -46,15 +46,6 @@ def make_eval_mask(spec: EvalMaskSpec, H: int, W: int, S: int) -> np.ndarray:
     return band_mask(H, W, S, spec.direction == "horizontal", first, total - first)
 
 
-def _check_video(video: np.ndarray, M: np.ndarray) -> None:
-    if video.ndim != 4 or video.shape[3] != 3:
-        raise ValueError(f"expected (H, W, S, 3) video, got {video.shape}")
-    if M.shape != video.shape[:3] + (1,):
-        raise ValueError(f"mask shape {M.shape} != {video.shape[:3] + (1,)}")
-    if not np.isin(M, (0.0, 1.0)).all():
-        raise ValueError("pixel mask must be binary")
-
-
 def outpaint_video(model, video: np.ndarray, M: np.ndarray, config: SamplerConfig,
                    sched: Schedule) -> np.ndarray:
     """Outpaint one clip: mask, encode, sample, decode, blend.
@@ -63,7 +54,6 @@ def outpaint_video(model, video: np.ndarray, M: np.ndarray, config: SamplerConfi
     mask. The given region of the result is the input bit-exact.
     """
     video = np.asarray(video, dtype=np.float64)
-    _check_video(video, M)
     x_masked = masked_input(video, M)
     z0 = sample(model, encode(x_masked), downsample_mask(M),
                 model.text_vector(), config, sched)
@@ -82,13 +72,13 @@ def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: in
     """
     if video_u8.dtype != np.uint8:
         raise ValueError(f"long-video input must be uint8, got {video_u8.dtype}")
-    _check_video(video_u8, M)
+    given = masked_input(from_u8(video_u8), M)
     plan = plan_clips(video_u8.shape[2], S_clip, K)
     outs = []
 
     for i, (a, b) in enumerate(plan.ranges):
         clip_mask = M[:, :, a:b]
-        x_masked = masked_input(from_u8(video_u8[:, :, a:b]), clip_mask)
+        x_masked = given[:, :, a:b]
         if i == 0:
             cond, cond_mask = x_masked, clip_mask
         else:

@@ -7,7 +7,7 @@ timestep the total is bit-identical to the MSE alone.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -86,8 +86,7 @@ def sample_training_mask(H: int, W: int, S: int, rng: np.random.Generator) -> np
     return band_mask(H, W, S, horizontal, first, total - first)
 
 
-def synth_video(rng: np.random.Generator, H: int, W: int, S: int,
-                velocity: tuple | None = None) -> np.ndarray:
+def synth_video(rng: np.random.Generator, H: int, W: int, S: int) -> np.ndarray:
     """Uniform background plus 1-3 rectangles sharing one integer velocity;
     frame k is frame 0 rolled k steps (wrap-around at borders)."""
     frame0 = np.empty((H, W, 3))
@@ -98,10 +97,7 @@ def synth_video(rng: np.random.Generator, H: int, W: int, S: int,
         r0 = int(rng.integers(0, H - rh + 1))
         c0 = int(rng.integers(0, W - rw + 1))
         frame0[r0:r0 + rh, c0:c0 + rw] = rng.uniform(0.0, 1.0, size=3)
-    if velocity is None:
-        vx, vy = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
-    else:
-        vx, vy = velocity
+    vx, vy = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
     video = np.empty((H, W, S, 3))
     for k in range(S):
         video[:, :, k] = np.roll(frame0, shift=(k * vy, k * vx), axis=(0, 1))
@@ -111,7 +107,7 @@ def synth_video(rng: np.random.Generator, H: int, W: int, S: int,
 class SGD:
     """Gradient descent with classical momentum; consumes and clears .grad."""
 
-    def __init__(self, params, lr: float = 1e-3, momentum: float = 0.9):
+    def __init__(self, params, lr: float, momentum: float):
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
@@ -166,27 +162,21 @@ class TrainConfig:
     shape: tuple = (16, 16, 8)
     steps: int = 500
     lr: float = 1e-3
-    beta: float = LossConfig.beta
-    t_latent: int = LossConfig.t_latent
-    gamma: float = BackboneConfig.gamma
     seed: int = 0
-    # the architecture keys; the rest of BackboneConfig keeps its defaults
-    n_blocks: int = BackboneConfig.n_blocks
-    d_model: int = BackboneConfig.d_model
-    n_heads: int = BackboneConfig.n_heads
-    control_hidden: int = BackboneConfig.control_hidden
     text_drop: float = 0.1
     momentum: float = 0.9
     restricted: bool = False
+    model: BackboneConfig = BackboneConfig()
+    loss: LossConfig = LossConfig()
 
 
-# ranges a run needs that BackboneConfig and LossConfig do not check
-# themselves; every float must also be finite
+# TrainConfig's records -> the keys a config file sets in each; the rest
+# of BackboneConfig keeps its defaults
+_RECORD_KEYS = {"model": ("n_blocks", "d_model", "n_heads", "gamma", "control_hidden"),
+                "loss": ("beta", "t_latent")}
+# ranges a run needs that no record checks itself; every float must also be finite
 _VALID = {
     "steps": (lambda v: v >= 1, ">= 1"),
-    "d_model": (lambda v: v >= 1, ">= 1"),
-    "n_heads": (lambda v: v >= 1, ">= 1"),
-    "control_hidden": (lambda v: v >= 1, ">= 1"),
     "lr": (lambda v: v > 0, "> 0"),
     "text_drop": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "momentum": (lambda v: 0 <= v <= 1, "in [0, 1]"),
@@ -213,9 +203,14 @@ def _parse_value(key: str, kind: type, val: str):
 
 def parse_train_config(text: str) -> TrainConfig:
     """key=value lines; '#' starts a comment. Unknown keys and values a run
-    cannot use are rejected with the number of their line."""
+    cannot use are rejected with the number of their line or lines. The
+    architecture and loss keys set TrainConfig.model and .loss."""
     cfg = TrainConfig()
-    kinds = {f.name: f.type for f in fields(TrainConfig)}
+    owner = {key: name for name, keys in _RECORD_KEYS.items() for key in keys}
+    kinds = {f.name: f.type for f in fields(TrainConfig) if f.name not in _RECORD_KEYS}
+    kinds.update((f.name, f.type) for f in fields(BackboneConfig) + fields(LossConfig)
+                 if f.name in owner)
+    given = {name: {} for name in _RECORD_KEYS}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -226,9 +221,20 @@ def parse_train_config(text: str) -> TrainConfig:
         if key not in kinds:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         try:
-            setattr(cfg, key, _parse_value(key, kinds[key], val))
+            value = _parse_value(key, kinds[key], val)
         except ValueError as e:
             raise ValueError(f"line {lineno}: bad {key} value {val!r}: {e}") from None
+        if key in owner:
+            given[owner[key]][key] = lineno, value
+        else:
+            setattr(cfg, key, value)
+    for name, pairs in given.items():  # each record checks its own values
+        try:
+            setattr(cfg, name, replace(getattr(cfg, name),
+                                       **{key: value for key, (_, value) in pairs.items()}))
+        except ValueError as e:
+            lines = ", ".join(str(lineno) for lineno, _ in sorted(pairs.values()))
+            raise ValueError(f"line{'s' if len(pairs) > 1 else ''} {lines}: {e}") from None
     return cfg
 
 
@@ -239,7 +245,6 @@ def train(model: OutpaintingModel, cfg: TrainConfig, log=None) -> list:
     rng = np.random.default_rng(cfg.seed)
     H, W, S = cfg.shape
     opt = SGD(model.trainable_params(cfg.restricted), lr=cfg.lr, momentum=cfg.momentum)
-    loss_cfg = LossConfig(beta=cfg.beta, t_latent=cfg.t_latent)
     history = []
     for step in range(cfg.steps):
         video = synth_video(rng, H, W, S)
@@ -247,7 +252,7 @@ def train(model: OutpaintingModel, cfg: TrainConfig, log=None) -> list:
         t = int(rng.integers(1, sched.T + 1))
         eps = rng.standard_normal(latent_shape(H, W, S))
         drop = rng.random() < cfg.text_drop
-        losses = train_step(model, TrainSample(video, mask, t, eps, drop), loss_cfg, opt, sched)
+        losses = train_step(model, TrainSample(video, mask, t, eps, drop), cfg.loss, opt, sched)
         losses["step"] = step
         losses["t"] = t
         history.append(losses)

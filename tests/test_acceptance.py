@@ -434,10 +434,7 @@ def test_08_training_descends_on_synthetic_data():
     cfg = TrainConfig(shape=(16, 16, 8), steps=500, lr=1e-2, seed=0)
 
     def run():
-        model = OutpaintingModel(
-            BackboneConfig(n_blocks=cfg.n_blocks, d_model=cfg.d_model, n_heads=cfg.n_heads,
-                           gamma=cfg.gamma, control_hidden=cfg.control_hidden),
-            seed=cfg.seed)
+        model = OutpaintingModel(cfg.model, seed=cfg.seed)
         return train(model, cfg)
 
     history = run()

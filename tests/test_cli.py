@@ -133,7 +133,8 @@ def test_train_writes_loadable_checkpoint(tmp_path, capsys):
     assert model.cfg.d_model == 16
 
 
-@pytest.mark.parametrize("line", ["restricted=on", "steps=-5", "lr=-1", "text_drop=nan"])
+@pytest.mark.parametrize("line", ["restricted=on", "steps=-5", "lr=-1", "text_drop=nan",
+                                  "beta=-1"])
 def test_exit_code_unusable_train_config(tmp_path, capsys, line):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"shape=8x8x2\nsteps=1\n{line}\n")
@@ -151,7 +152,7 @@ def test_train_rejects_unrunnable_d_model_before_any_step(tmp_path, capsys):
     assert entry(["train", "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: d_model must be even and >= 6, got 4\n"
+    assert captured.err == "error: lines 3, 4: d_model must be even and >= 6, got 4\n"
     assert not out.exists()
 
 

@@ -124,19 +124,43 @@ def test_outpaint_video_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_outpaint_video_validation():
-    model = tiny_model()
-    video = np.zeros((8, 8, 2, 3))
-    M = np.zeros((8, 8, 2, 1))
-    M[:, 2:6] = 1.0
-    with pytest.raises(ValueError):
-        outpaint_video(model, np.zeros((6, 8, 2, 3)), M[:6], SamplerConfig(steps=2), SCHED)
+class CountingModel:
+    """A model that counts the calls made to it."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+
+    def __getattr__(self, name):
+        attr = getattr(self.model, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+def bad_inputs(video, M):
+    """(video, mask) pairs the codec refuses: a height that is no multiple
+    of the patch, a non-binary mask, and masks with too few or too many
+    frames."""
     bad = M.copy()
     bad[0, 0, 0, 0] = 0.5
-    with pytest.raises(ValueError):
-        outpaint_video(model, video, bad, SamplerConfig(steps=2), SCHED)
-    with pytest.raises(ValueError):
-        outpaint_video(model, video, M[:, :, :1], SamplerConfig(steps=2), SCHED)
+    longer = np.concatenate([M, M[:, :, :1]], axis=2)
+    return [(video[:6], M[:6]), (video, bad), (video, M[:, :, :1]), (video, longer)]
+
+
+def test_outpaint_video_validation():
+    model = CountingModel(tiny_model())
+    M = np.zeros((8, 8, 2, 1))
+    M[:, 2:6] = 1.0
+    for video, mask in bad_inputs(np.zeros((8, 8, 2, 3)), M):
+        with pytest.raises(ValueError):
+            outpaint_video(model, video, mask, SamplerConfig(steps=2), SCHED)
+    assert model.calls == 0
+    outpaint_video(model, np.zeros((8, 8, 2, 3)), M, SamplerConfig(steps=2), SCHED)
+    assert model.calls > 0  # the counter sees the calls a run makes
 
 
 def make_long_inputs(S_l=6, seed=4):
@@ -243,3 +267,12 @@ def test_outpaint_long_rejects_float_input():
     with pytest.raises(ValueError):
         outpaint_long(model, video_u8.astype(np.float64), M, 4, 2,
                       config=SamplerConfig(steps=2), sched=SCHED)
+
+
+def test_outpaint_long_validation():
+    model = CountingModel(tiny_model())
+    video_u8, M = make_long_inputs()
+    for video, mask in bad_inputs(video_u8, M):
+        with pytest.raises(ValueError):
+            outpaint_long(model, video, mask, 4, 2, config=SamplerConfig(steps=2), sched=SCHED)
+    assert model.calls == 0

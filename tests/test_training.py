@@ -196,15 +196,19 @@ def test_sample_training_mask_matches_parent_formula():
 
 def test_synth_video_velocity_properties():
     rng = np.random.default_rng(5)
-    still = synth_video(rng, 16, 16, 5, velocity=(0, 0))
-    for k in range(1, 5):
-        np.testing.assert_array_equal(still[:, :, k], still[:, :, 0])
-
-    vid = synth_video(rng, 16, 16, 5, velocity=(1, 0))
-    for k in range(5):
-        np.testing.assert_array_equal(vid[:, :, k], np.roll(vid[:, :, 0], k, axis=1))
-
-    assert vid.min() >= 0.0 and vid.max() <= 1.0
+    candidates = [(vx, vy) for vx in range(-2, 3) for vy in range(-2, 3)]
+    seen = set()
+    for _ in range(12):
+        vid = synth_video(rng, 16, 16, 5)
+        # the clip's velocity, read off frame 1
+        vx, vy = next(v for v in candidates if np.array_equal(
+            vid[:, :, 1], np.roll(vid[:, :, 0], (v[1], v[0]), axis=(0, 1))))
+        for k in range(5):
+            np.testing.assert_array_equal(
+                vid[:, :, k], np.roll(vid[:, :, 0], (k * vy, k * vx), axis=(0, 1)))
+        assert vid.min() >= 0.0 and vid.max() <= 1.0
+        seen.add((vx, vy))
+    assert len(seen) > 1
 
 
 def test_synth_video_deterministic():
@@ -230,7 +234,7 @@ def test_train_step_zero_lr_is_pure_evaluation():
     sched = make_schedule(T=1000)
     rng = np.random.default_rng(6)
     before = {n: p.data.copy() for n, p in model.named_params()}
-    opt = SGD(model.trainable_params(), lr=0.0)
+    opt = SGD(model.trainable_params(), lr=0.0, momentum=0.9)
     train_step(model, _tiny_sample(rng), LossConfig(), opt, sched)
     for n, p in model.named_params():
         np.testing.assert_array_equal(p.data, before[n], err_msg=n)
@@ -240,7 +244,7 @@ def test_train_step_updates_params_and_reports_losses():
     model = _tiny_model()
     sched = make_schedule(T=1000)
     rng = np.random.default_rng(7)
-    opt = SGD(model.trainable_params(), lr=1e-3)
+    opt = SGD(model.trainable_params(), lr=1e-3, momentum=0.9)
     out = train_step(model, _tiny_sample(rng, t=100), LossConfig(), opt, sched)
     assert out["total"] == pytest.approx(out["eps"] + 0.02 * out["latent"])
     assert out["latent"] > 0.0
@@ -264,7 +268,7 @@ def test_train_step_aborts_on_non_finite():
     model.backbone.head.W.data[:] = np.nan
     sched = make_schedule(T=1000)
     rng = np.random.default_rng(9)
-    opt = SGD(model.trainable_params(), lr=1e-3)
+    opt = SGD(model.trainable_params(), lr=1e-3, momentum=0.9)
     with pytest.raises(NumericalError):
         train_step(model, _tiny_sample(rng), LossConfig(), opt, sched)
 
@@ -308,7 +312,7 @@ def test_single_sample_overfit_descends():
     rng = np.random.default_rng(0)
     sample = TrainSample(synth_video(rng, 8, 8, 2), sample_training_mask(8, 8, 2, rng),
                          100, rng.standard_normal((2, 2, 2, 48)))
-    opt = SGD(model.trainable_params(), lr=3e-2)
+    opt = SGD(model.trainable_params(), lr=3e-2, momentum=0.9)
     first = last = None
     for _ in range(200):
         out = train_step(model, sample, LossConfig(), opt, sched)
@@ -323,8 +327,9 @@ def test_parse_train_config():
         "gamma=0.25\nseed=3\n# comment\n\nd_model=32\n"
     )
     assert cfg.shape == (16, 16, 8)
-    assert cfg.steps == 50 and cfg.lr == 0.002 and cfg.gamma == 0.25 and cfg.seed == 3
-    assert cfg.d_model == 32
+    assert cfg.steps == 50 and cfg.lr == 0.002 and cfg.seed == 3
+    assert cfg.model == BackboneConfig(gamma=0.25, d_model=32)
+    assert cfg.loss == LossConfig(beta=0.02, t_latent=200)
     with pytest.raises(ValueError):
         parse_train_config("bogus_key=1")
     with pytest.raises(ValueError):
@@ -339,38 +344,68 @@ def test_parse_train_config():
                                   "beta=nan", "n_heads=0", "control_hidden=0",
                                   "shape=0x16x8", "shape=18x16x8", "steps=1e3"])
 def test_parse_train_config_rejects_unusable_values(line):
-    with pytest.raises(ValueError, match=r"^line 2: bad \w+ value"):
+    with pytest.raises(ValueError, match=r"^line 2: (bad \w+ value|\w+ must be >= 1, got 0$)"):
         parse_train_config("seed=1\n" + line + "\n")
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["d_model = 0"], "line 2: d_model must be even and >= 6, got 0"),
+    (["d_model = 4"], "line 2: d_model must be even and >= 6, got 4"),
+    (["n_heads = 0"], "line 2: n_heads must be >= 1, got 0"),
+    (["n_blocks = 1"], "line 2: need at least 2 blocks: conditions enter after the first"),
+    (["gamma = -1"], "line 2: gamma must be >= 0, got -1.0"),
+    (["beta = -1"], "line 2: beta must be >= 0, got -1.0"),
+    (["t_latent = -1"], "line 2: t_latent must be >= 0, got -1"),
+    (["d_model = 30", "n_heads = 4"], "lines 2, 3: d_model 30 not divisible by 4 heads"),
+])
+def test_parse_train_config_record_refusal_names_its_lines(lines, message):
+    """A value BackboneConfig or LossConfig refuses is one line: the numbers
+    of the lines that record took, then the record's own message."""
+    with pytest.raises(ValueError) as info:
+        parse_train_config("\n".join(["seed = 1", *lines]) + "\n")
+    assert str(info.value) == message
 
 
 _BOOL_SPELLINGS = {True: ("1", "true", "Yes", "TRUE"), False: ("0", "false", "No", "FALSE")}
 
 
+MODEL_KEYS = ("n_blocks", "d_model", "n_heads", "gamma", "control_hidden")
+# d_model = n_heads * head, drawn only where it is even and at least 6
+heads = st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(
+    lambda nh: nh[0] * nh[1] % 2 == 0 and nh[0] * nh[1] >= 6)
+
+
 @st.composite
 def train_configs(draw):
-    """A valid TrainConfig and one text spelling of it."""
+    """A valid TrainConfig and one text spelling of its 14 keys."""
     pos = st.integers(1, 64)
     unit = st.floats(0.0, 1.0)
     side = st.integers(1, 16).map(lambda n: n * PATCH)
+    n_heads, head = draw(heads)
     cfg = TrainConfig(
         shape=(draw(side), draw(side), draw(pos)), steps=draw(pos),
-        lr=draw(st.floats(1e-9, 1e3)), beta=draw(st.floats(0.0, 10.0)),
-        t_latent=draw(st.integers(0, 1000)), gamma=draw(st.floats(0.0, 2.0)),
-        seed=draw(st.integers(0, 2**31)), n_blocks=draw(st.integers(2, 8)),
-        d_model=draw(pos), n_heads=draw(pos), control_hidden=draw(pos),
-        text_drop=draw(unit), momentum=draw(unit), restricted=draw(st.booleans()))
+        lr=draw(st.floats(1e-9, 1e3)), seed=draw(st.integers(0, 2**31)),
+        text_drop=draw(unit), momentum=draw(unit), restricted=draw(st.booleans()),
+        model=BackboneConfig(n_blocks=draw(st.integers(2, 8)), d_model=n_heads * head,
+                             n_heads=n_heads, gamma=draw(st.floats(0.0, 2.0)),
+                             control_hidden=draw(pos)),
+        loss=LossConfig(beta=draw(st.floats(0.0, 10.0)), t_latent=draw(st.integers(0, 1000))))
+    keys = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)
+            if f.name not in ("model", "loss")}
+    keys.update({key: getattr(cfg.model, key) for key in MODEL_KEYS})
+    keys.update({f.name: getattr(cfg.loss, f.name) for f in fields(LossConfig)})
+    assert len(keys) == 14
     lines = []
-    for f in draw(st.permutations(fields(TrainConfig))):
-        val = getattr(cfg, f.name)
-        if f.type is tuple:
+    for key, val in draw(st.permutations(list(keys.items()))):
+        if isinstance(val, tuple):
             text = draw(st.sampled_from("xX")).join(map(str, val))
-        elif f.type is bool:
+        elif isinstance(val, bool):
             text = draw(st.sampled_from(_BOOL_SPELLINGS[val]))
         else:
             text = repr(val)
         pad = draw(st.sampled_from(["", " ", "\t"]))
         comment = draw(st.sampled_from(["", "  # note", "#"]))
-        lines.append(f"{pad}{f.name}{pad}={pad}{text}{comment}")
+        lines.append(f"{pad}{key}{pad}={pad}{text}{comment}")
         if draw(st.booleans()):
             lines.append(draw(st.sampled_from(["", "# comment", "   "])))
     return cfg, "\n".join(lines)
@@ -385,8 +420,7 @@ def test_parse_train_config_round_trip(case):
 def test_train_loop_deterministic_and_logs():
     def run():
         model = _tiny_model()
-        cfg = TrainConfig(shape=(8, 8, 2), steps=4, lr=1e-3, seed=11,
-                          n_blocks=2, d_model=16, n_heads=2, control_hidden=8)
+        cfg = TrainConfig(shape=(8, 8, 2), steps=4, lr=1e-3, seed=11, model=model.cfg)
         log = io.StringIO()
         hist = train(model, cfg, log=log)
         return hist, log.getvalue()

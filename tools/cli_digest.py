@@ -27,11 +27,14 @@ sys.path.insert(0, os.path.abspath("src"))
 from outpainter.cli import entry  # noqa: E402
 
 # config file -> contents; the second sets every architecture key away from
-# its default, so a key the CLI fails to pass on changes the listing
+# its default and the third every loss and optimizer key, so a key the parser
+# routes to the wrong record or the CLI fails to pass on changes the listing
 CONFIGS = {
     "train.cfg": "shape = 16x16x8\nsteps = 30\nlr = 0.01\nseed = 0\n",
     "arch.cfg": ("shape = 16x16x8\nsteps = 5\nlr = 0.01\nseed = 0\nn_blocks = 2\n"
                  "d_model = 32\nn_heads = 2\ngamma = 0.25\ncontrol_hidden = 8\n"),
+    "loss.cfg": ("shape = 16x16x8\nsteps = 8\nlr = 0.01\nseed = 0\nbeta = 0.5\n"
+                 "t_latent = 700\ntext_drop = 0.5\nmomentum = 0.5\nrestricted = 1\n"),
 }
 
 # (name, argv) in run order; later commands read earlier outputs
@@ -71,6 +74,10 @@ MATRIX = [
     ("outpaint-arch", ["outpaint", "--model", "arch.bin", "--input", "clip",
                        "--out", "out-arch", "--mask-ratio", "0.25", "--steps", "10",
                        "--cfg-scale", "3", "--seed", "10"]),
+    ("train-loss", ["train", "--config", "loss.cfg", "--out", "loss.bin"]),
+    ("outpaint-loss", ["outpaint", "--model", "loss.bin", "--input", "clip",
+                       "--out", "out-loss", "--mask-ratio", "0.25", "--steps", "10",
+                       "--cfg-scale", "3", "--seed", "11"]),
 ]
 
 
