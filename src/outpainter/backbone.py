@@ -177,6 +177,18 @@ class Block(Module):
         return x + self.mlp_fc2(self.mlp_fc1(h).tanh())
 
 
+def feature_stats(features: Tensor):
+    """Per-channel mean/std over the token axis of (..., L, d) sequences,
+    each (..., 1, d), as constants.
+
+    The alignment target comes from the live block-1 output; blocking its
+    gradient keeps the conditioning branch from steering the denoiser
+    through the normalization constants.
+    """
+    return (Tensor(features.data.mean(axis=-2, keepdims=True)),
+            Tensor(features.data.std(axis=-2, keepdims=True)))
+
+
 class Backbone(Module):
     """Token embedding, N conditioned blocks, and the epsilon head."""
 
@@ -221,16 +233,16 @@ class Backbone(Module):
             raise ValueError(f"token mask shape {m_tokens.shape} is not (h*w*s, 1)")
         return [mask_multipliers(b.scaler, m_tokens, self.cfg.gamma) for b in self.blocks]
 
-    def forward(self, z_t, t: int, multipliers: list, text_embed, inject_fn=None) -> Tensor:
+    def forward(self, z_t, t: int, multipliers: list, text_embed, features: Tensor) -> Tensor:
         """Predict epsilon for z_t, an (h, w, s, d_latent) latent array.
 
         multipliers: this mask's multipliers(m_tokens). text_embed: one
         (d_model,) embedding, None for the learned null embedding, or a
         list of these; a list runs one sequence per entry over the same
-        z_t in one pass and returns (len, h, w, s, d_latent). Conditions
-        enter once, after block 1: inject_fn receives that block's output
-        and returns the same-shaped sequence added to it (the control
-        branch aligns its features to the live block-1 statistics there).
+        z_t in one pass and returns (len, h, w, s, d_latent). features: the
+        (h*w*s, d_model) control features, standardized per channel.
+        Conditions enter once, after block 1: each sequence adds
+        features * sigma + mu at that block's live per-channel statistics.
         """
         if len(multipliers) != len(self.blocks):
             raise ValueError(f"{len(multipliers)} multiplier sets for {len(self.blocks)} blocks")
@@ -238,11 +250,10 @@ class Backbone(Module):
         cond = self.condition_vector(t, text_embed)
 
         x = self.blocks[0](self.patchify(z_t), cond, multipliers[0])
-        if inject_fn is not None:
-            inj = inject_fn(x)
-            if inj.shape != x.shape:
-                raise ValueError(f"injected shape {inj.shape} != token shape {x.shape}")
-            x = x + inj
+        if features.shape != x.shape[-2:]:
+            raise ValueError(f"features shape {features.shape} != token shape {x.shape[-2:]}")
+        mu, sigma = feature_stats(x)
+        x = x + (features * sigma + mu)
         for block, mult in zip(self.blocks[1:], multipliers[1:]):
             x = block(x, cond, mult)
         return untokenize(self.head(layer_norm(x)), grid)

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Commands: train, outpaint, outpaint-long, refine, eval, synth. Every
-command takes --seed and is deterministic under it. Errors exit with a
+command is deterministic; train, outpaint, outpaint-long and synth take
+--seed, and refine and eval draw nothing at random. Errors exit with a
 single-line stderr diagnostic: 1 for usage errors, 2 for data errors,
 3 for numerical failures.
 """
@@ -67,12 +68,10 @@ def _build_parser() -> _Parser:
     r.add_argument("--input", required=True)
     r.add_argument("--template", required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--seed", type=int, default=0)
 
     e = sub.add_parser("eval", help="PSNR/SSIM between two frame sequences")
     e.add_argument("a")
     e.add_argument("b")
-    e.add_argument("--seed", type=int, default=0)
 
     s = sub.add_parser("synth", help="generate a synthetic moving-rectangle sequence")
     s.add_argument("--out", required=True)

@@ -1,6 +1,6 @@
 """Lightweight condition branch: convolutional features from the masked
-latents plus mask, aligned to the denoiser's running statistics before
-being added after the first block.
+latents plus mask, standardized per channel. The denoiser scales them to
+its live block-1 statistics and adds them after the first block.
 
 The conv stack is spatial-only and per-frame; temporal structure reaches
 the denoiser through the token layout, not through this branch.
@@ -68,18 +68,6 @@ class ControlBranch(Module):
         return self.proj(tokenize(self.conv3(x)))
 
 
-def feature_stats(features: Tensor):
-    """Per-channel mean/std over the token axis of (..., L, d) sequences,
-    each (..., 1, d), as constants.
-
-    The alignment target comes from the live block-1 output; blocking its
-    gradient keeps the conditioning branch from steering the denoiser
-    through the normalization constants.
-    """
-    return (Tensor(features.data.mean(axis=-2, keepdims=True)),
-            Tensor(features.data.std(axis=-2, keepdims=True)))
-
-
 def standardize(features: Tensor) -> Tensor:
     """Each channel of an (L, d) token sequence at zero mean and unit std.
 
@@ -93,10 +81,3 @@ def standardize(features: Tensor) -> Tensor:
     # sqrt stays differentiable when a channel is constant
     std = var.clamp(lo=1e-6 * 1e-6) ** 0.5
     return d / std
-
-
-def align(features: Tensor, mu_m, sigma_m) -> Tensor:
-    """Renormalize each channel to the target mean/std:
-    standardize(features) * sigma_m + mu_m. Constant channels land exactly
-    on mu_m."""
-    return standardize(features) * sigma_m + mu_m

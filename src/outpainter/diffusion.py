@@ -15,10 +15,10 @@ from .tensor import no_grad
 
 @dataclass(frozen=True)
 class Schedule:
-    """Variance schedule: beta[i] is the step variance at t = i+1."""
+    """Variance schedule: alpha_bar[i] is the product of (1 - beta) over
+    steps 1..i+1, the signal fraction left at t = i+1."""
 
     T: int
-    beta: np.ndarray
     alpha_bar: np.ndarray
 
     def alpha_bar_at(self, t: int) -> float:
@@ -46,8 +46,7 @@ def make_schedule(T: int = 1000, beta_start: float = 1e-4, beta_end: float = 0.0
         raise ValueError(f"T must be positive, got {T}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError(f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]")
-    beta = np.linspace(beta_start, beta_end, T)
-    return Schedule(T=T, beta=beta, alpha_bar=np.cumprod(1.0 - beta))
+    return Schedule(T=T, alpha_bar=np.cumprod(1.0 - np.linspace(beta_start, beta_end, T)))
 
 
 def q_sample(z0: np.ndarray, t: int, eps: np.ndarray, sched: Schedule) -> np.ndarray:

@@ -51,7 +51,8 @@ def build_condition(prev_clip_out: np.ndarray, cur_masked: np.ndarray,
     prev_clip_out supplies the condition frames (its last K frames; the
     pipeline passes exactly the frames generated at this clip's first K
     global positions). The rest of the clip keeps its masked input frames
-    and outpainting masks; the condition frames get all-ones masks.
+    and outpainting masks; the condition frames get all-ones masks. The
+    frames may be pixels or latents: only the (h, w, s) axes are read.
     """
     if K <= 0:
         raise ValueError(f"overlap K must be positive, got {K}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import Backbone, BackboneConfig, tokenize
-from .control import ControlBranch, feature_stats, standardize
+from .control import ControlBranch, standardize
 from .nn import Module
 from .tensor import Tensor, no_grad
 
@@ -59,12 +59,7 @@ class OutpaintingModel(Module):
         """
         if cond.shape != z_t.shape:
             raise ValueError(f"masked latents {cond.shape} != noisy latents {z_t.shape}")
-
-        def inject_fn(block1_out: Tensor) -> Tensor:
-            mu_m, sigma_m = feature_stats(block1_out)
-            return cond.features * sigma_m + mu_m
-
-        return self.backbone.forward(z_t, t, cond.multipliers, text_embed, inject_fn)
+        return self.backbone.forward(z_t, t, cond.multipliers, text_embed, cond.features)
 
     def predict_eps(self, z_t: np.ndarray, t: int, z_masked: np.ndarray, m: np.ndarray,
                     text_embed=None, cond: Condition | None = None) -> np.ndarray:

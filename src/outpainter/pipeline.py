@@ -72,24 +72,23 @@ def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: in
     """
     if video_u8.dtype != np.uint8:
         raise ValueError(f"long-video input must be uint8, got {video_u8.dtype}")
-    given = masked_input(from_u8(video_u8), M)
+    # the whole video's latents and latent mask, so every clip's mask is
+    # checked before any clip is sampled
+    z_given = encode(masked_input(from_u8(video_u8), M))
+    m_given = downsample_mask(M)
     plan = plan_clips(video_u8.shape[2], S_clip, K)
     outs = []
 
     for i, (a, b) in enumerate(plan.ranges):
-        clip_mask = M[:, :, a:b]
-        x_masked = given[:, :, a:b]
-        if i == 0:
-            cond, cond_mask = x_masked, clip_mask
-        else:
+        z_masked, m = z_given[:, :, a:b], m_given[:, :, a:b]
+        if i > 0:
             overlap = assemble(outs, replace(plan, ranges=plan.ranges[:i]), (a, a + K))
-            cond, cond_mask = build_condition(from_u8(overlap), x_masked, clip_mask, K)
+            z_masked, m = build_condition(encode(from_u8(overlap)), z_masked, m, K)
         cfg_i = replace(config, seed=config.seed + i)
-        z0 = sample(model, encode(cond), downsample_mask(cond_mask),
-                    model.text_vector(), cfg_i, sched)
+        z0 = sample(model, z_masked, m, model.text_vector(), cfg_i, sched)
         out = to_u8(decode(z0))
         if i > 0 and refine:
             out = refine_clip(out, overlap, K)
-        outs.append(masked_input(video_u8[:, :, a:b], clip_mask, out))
+        outs.append(masked_input(video_u8[:, :, a:b], M[:, :, a:b], out))
 
     return assemble(outs, plan)

@@ -77,7 +77,8 @@ class Tensor:
     writing into it. Results of operations keep ``grad`` None.
     """
 
-    # keep numpy from consuming us in mixed expressions; reflected ops win
+    # keep numpy from consuming us in mixed expressions: an array on the
+    # left defers to Tensor's reflected op, or raises TypeError without one
     __array_ufunc__ = None
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_bw")
@@ -104,10 +105,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def __repr__(self) -> str:
-        req = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{req})"
 
     # ---- graph core ------------------------------------------------------
     def backward(self) -> None:
@@ -201,12 +198,6 @@ class Tensor:
             )
         return out
 
-    def __neg__(self):
-        out = _node(-self.data, (self,))
-        if out._parents:
-            out._bw = lambda g: (-g,)
-        return out
-
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("exponent must be a python scalar")
@@ -217,17 +208,8 @@ class Tensor:
             out._bw = lambda g: (g * p * ad ** (p - 1),)
         return out
 
-    def __radd__(self, other):
-        return _coerce(other).__add__(self)
-
     def __rsub__(self, other):
         return _coerce(other).__sub__(self)
-
-    def __rmul__(self, other):
-        return _coerce(other).__mul__(self)
-
-    def __rtruediv__(self, other):
-        return _coerce(other).__truediv__(self)
 
     def tanh(self):
         out = _node(np.tanh(self.data), (self,))

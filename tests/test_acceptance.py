@@ -12,11 +12,12 @@ import time
 
 import numpy as np
 
-from outpainter.backbone import Attention, BackboneConfig, MaskScaler, mask_multipliers, tokenize
+from outpainter.backbone import (Attention, BackboneConfig, MaskScaler, feature_stats,
+                                 mask_multipliers, tokenize)
 from outpainter.checkpoint import save_model
 from outpainter.cli import entry
 from outpainter.codec import decode, downsample_mask, encode
-from outpainter.control import align, feature_stats
+from outpainter.control import standardize
 from outpainter.diffusion import SamplerConfig, make_schedule, predict_z0, q_sample
 from outpainter.frameio import load_frames, save_frames
 from outpainter.longvideo import (Histogram, assemble, build_condition, histogram_matching,
@@ -34,16 +35,7 @@ from outpainter.training import (LossConfig, SGD, TrainConfig, TrainSample,
 # 1. Gradient integrity: every trainable scalar against central differences.
 # --------------------------------------------------------------------------
 
-def _feature_stats_on_tape(features):
-    """feature_stats with its gradient kept: per-channel mean, and std with
-    a 1e-12 variance floor so sqrt stays differentiable."""
-    mu = features.mean(axes=-2, keepdims=True)
-    d = features - mu
-    sigma = (d * d).mean(axes=-2, keepdims=True).clamp(lo=1e-12) ** 0.5
-    return mu, sigma
-
-
-def test_01_every_parameter_gradient_matches_finite_differences(monkeypatch):
+def test_01_every_parameter_gradient_matches_finite_differences(stats_on_tape):
     """Toy model (2 blocks, d_model=16, 8 latent tokens), combined
     conditional+unconditional training loss at t=100: tape gradient of
     every one of the ~17.5k trainable scalars matches central finite
@@ -56,7 +48,6 @@ def test_01_every_parameter_gradient_matches_finite_differences(monkeypatch):
     parameter) participate.
     """
     started = time.monotonic()
-    monkeypatch.setattr("outpainter.model.feature_stats", _feature_stats_on_tape)
     cfg = BackboneConfig(n_blocks=2, d_model=16, n_heads=2, control_hidden=8)
     model = OutpaintingModel(cfg, seed=0)
     rng = np.random.default_rng(0)
@@ -212,28 +203,22 @@ def test_03_feature_alignment_reproduces_block1_stats():
         m = downsample_mask(M)
         t = int(rng.integers(1, 1001))
         feats = model.control.extract(zm, m)
-        captured = {}
-
-        def inject_fn(block1_out):
-            mu, sigma = feature_stats(block1_out)
-            out = align(feats, mu, sigma)
-            captured.update(aligned=out.data, mu=mu.data, sigma=sigma.data)
-            return out
-
-        model.backbone.forward(z_t, t, model.backbone.multipliers(tokenize(m)), None,
-                               inject_fn=inject_fn)
-        a = captured["aligned"]
+        # block 1's output, built from the model's own pieces as its forward does
+        bb = model.backbone
+        block1_out = bb.blocks[0](bb.patchify(z_t), bb.condition_vector(t, None),
+                                  bb.multipliers(tokenize(m))[0])
+        mu, sigma = feature_stats(block1_out)
+        once = standardize(feats) * sigma + mu
+        a = once.data
         got_mu = a.mean(axis=0)
         got_sd = np.sqrt(((a - got_mu) ** 2).mean(axis=0))
-        worst_mu = max(worst_mu, float(np.abs(got_mu - captured["mu"].ravel()).max()))
-        worst_sd = max(worst_sd, float(np.abs(got_sd - captured["sigma"].ravel()).max()))
+        worst_mu = max(worst_mu, float(np.abs(got_mu - mu.data.ravel()).max()))
+        worst_sd = max(worst_sd, float(np.abs(got_sd - sigma.data.ravel()).max()))
 
         if trial < 5:
-            mu_t, sd_t = Tensor(captured["mu"]), Tensor(captured["sigma"])
-            once = align(feats, mu_t, sd_t)
-            twice = align(once, mu_t, sd_t)
+            twice = standardize(once) * sigma + mu
             assert np.abs(twice.data - once.data).max() <= 1e-8
-            scaled = align(feats * 3.7 + (-1.2), mu_t, sd_t)
+            scaled = standardize(feats * 3.7 + (-1.2)) * sigma + mu
             assert np.abs(scaled.data - once.data).max() <= 1e-8
     assert worst_mu <= 1e-6, f"mean deviation {worst_mu:.3e}"
     assert worst_sd <= 1e-6, f"std deviation {worst_sd:.3e}"

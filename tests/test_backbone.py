@@ -11,6 +11,7 @@ from outpainter.backbone import (
     BackboneConfig,
     Block,
     MaskScaler,
+    feature_stats,
     mask_multipliers,
     position_encoding,
     tokenize,
@@ -18,6 +19,10 @@ from outpainter.backbone import (
 )
 from outpainter.nn import layer_norm, sinusoid_table
 from outpainter.tensor import Tensor, no_grad
+
+
+# standardized control features for small_cfg's d_model on 8 tokens
+ZERO_FEATURES = Tensor(np.zeros((8, 16)))
 
 
 def small_cfg(**kw):
@@ -312,17 +317,21 @@ def test_single_block_gradient_check():
 
 
 def test_backbone_forward_shape_and_injection_zero():
+    # zero features add exactly block 1's live per-channel mean
     rng = np.random.default_rng(12)
     cfg = small_cfg()
     bb = Backbone(cfg, rng)
     z = rng.standard_normal((2, 2, 2, 48))
-    m_tok = rng.uniform(0, 1, size=(8, 1))
+    mult = bb.multipliers(rng.uniform(0, 1, size=(8, 1)))
     with no_grad():
-        base = bb.forward(z, 10, bb.multipliers(m_tok), None).data
-        withzero = bb.forward(z, 10, bb.multipliers(m_tok), None,
-                              lambda x: Tensor(np.zeros((8, 16)))).data
-    assert base.shape == z.shape
-    np.testing.assert_array_equal(base, withzero)
+        out = bb.forward(z, 10, mult, None, ZERO_FEATURES).data
+        cond = bb.condition_vector(10, None)
+        x = bb.blocks[0](bb.patchify(z), cond, mult[0])
+        x = x + feature_stats(x)[0]
+        x = bb.blocks[1](x, cond, mult[1])
+        ref = untokenize(bb.head(layer_norm(x)), (2, 2, 2)).data
+    assert out.shape == z.shape
+    np.testing.assert_array_equal(out, ref)
 
 
 def test_backbone_injection_shape_mismatch():
@@ -330,8 +339,7 @@ def test_backbone_injection_shape_mismatch():
     bb = Backbone(small_cfg(), rng)
     z = rng.standard_normal((2, 2, 2, 48))
     with pytest.raises(ValueError):
-        bb.forward(z, 10, bb.multipliers(np.ones((8, 1))), None,
-                   lambda x: Tensor(np.zeros((7, 16))))
+        bb.forward(z, 10, bb.multipliers(np.ones((8, 1))), None, Tensor(np.zeros((7, 16))))
 
 
 def test_forward_rejects_mask_not_in_token_order():
@@ -340,7 +348,7 @@ def test_forward_rejects_mask_not_in_token_order():
     bb = Backbone(small_cfg(), rng)
     z = rng.standard_normal((2, 2, 2, 48))
     with pytest.raises(ValueError):
-        bb.forward(z, 10, bb.multipliers(np.ones((2, 2, 2, 1))), None)
+        bb.forward(z, 10, bb.multipliers(np.ones((2, 2, 2, 1))), None, ZERO_FEATURES)
 
 
 def test_forward_rejects_injection_that_would_broadcast():
@@ -349,8 +357,7 @@ def test_forward_rejects_injection_that_would_broadcast():
     bb = Backbone(small_cfg(), rng)
     z = rng.standard_normal((2, 2, 2, 48))
     with pytest.raises(ValueError):
-        bb.forward(z, 10, bb.multipliers(np.ones((8, 1))), None,
-                   lambda x: Tensor(np.ones((1, 16))))
+        bb.forward(z, 10, bb.multipliers(np.ones((8, 1))), None, Tensor(np.ones((1, 16))))
 
 
 def test_backbone_gamma_zero_equals_standard_everywhere():
@@ -359,12 +366,13 @@ def test_backbone_gamma_zero_equals_standard_everywhere():
     bb = Backbone(small_cfg(gamma=0.0), rng)
     z = rng.standard_normal((2, 2, 2, 48))
     with no_grad():
-        a = bb.forward(z, 3, bb.multipliers(rng.uniform(0, 1, (8, 1))), None).data
-        b = bb.forward(z, 3, bb.multipliers(rng.uniform(0, 1, (8, 1))), None).data
+        feats = Tensor(rng.standard_normal((8, 16)))
+        a = bb.forward(z, 3, bb.multipliers(rng.uniform(0, 1, (8, 1))), None, feats).data
+        b = bb.forward(z, 3, bb.multipliers(rng.uniform(0, 1, (8, 1))), None, feats).data
     np.testing.assert_array_equal(a, b)
 
 
-def test_backbone_end_to_end_gradient_check():
+def test_backbone_end_to_end_gradient_check(stats_on_tape):
     rng = np.random.default_rng(15)
     cfg = small_cfg()
     bb = Backbone(cfg, rng)
@@ -373,11 +381,12 @@ def test_backbone_end_to_end_gradient_check():
     z = rng.standard_normal((2, 2, 2, 48))
     m_tok = rng.uniform(0, 1, size=(8, 1))
     target = rng.standard_normal(z.shape)
+    feats = Tensor(rng.standard_normal((8, 16)))
 
     def loss_fn():
         # both conditioning branches so every parameter participates
-        out_c = bb.forward(z, 100, bb.multipliers(m_tok), bb.text_embed)
-        out_u = bb.forward(z, 100, bb.multipliers(m_tok), None)
+        out_c = bb.forward(z, 100, bb.multipliers(m_tok), bb.text_embed, feats)
+        out_u = bb.forward(z, 100, bb.multipliers(m_tok), None, feats)
         return ((out_c - target) ** 2).mean() + ((out_u - target) ** 2).mean()
 
     _fd_check_params(loss_fn, bb.named_params(), sample_at_most=4,
@@ -393,6 +402,6 @@ def test_timestep_changes_output_through_conditioning():
     z = rng.standard_normal((2, 2, 2, 48))
     m = np.ones((8, 1))
     with no_grad():
-        a = bb.forward(z, 1, bb.multipliers(m), None).data
-        b = bb.forward(z, 900, bb.multipliers(m), None).data
+        a = bb.forward(z, 1, bb.multipliers(m), None, ZERO_FEATURES).data
+        b = bb.forward(z, 900, bb.multipliers(m), None, ZERO_FEATURES).data
     assert np.abs(a - b).max() > 1e-8

@@ -161,6 +161,9 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     assert entry(["no-such-command"]) == 1
     assert entry([]) == 1
     assert entry(["synth", "--out", str(tmp_path / "x"), "--shape", "8x8"]) == 1
+    # refine and eval draw nothing at random, so they take no --seed
+    assert entry(["refine", "--input", "a", "--template", "b", "--out", "c", "--seed", "1"]) == 1
+    assert entry(["eval", "a", "b", "--seed", "1"]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err
     for line in err.splitlines():

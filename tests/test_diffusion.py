@@ -30,9 +30,12 @@ def test_schedule_default_monotone_and_product():
     s = make_schedule(T=1000, beta_start=1e-4, beta_end=0.02)
     assert (np.diff(s.alpha_bar) < 0).all()
     assert s.alpha_bar[-1] < 0.01
-    prod = np.cumprod(1.0 - s.beta)
-    np.testing.assert_allclose(s.alpha_bar, prod, atol=1e-12)
-    assert ((s.beta > 0) & (s.beta < 1)).all()
+    beta = np.linspace(1e-4, 0.02, 1000)
+    np.testing.assert_allclose(s.alpha_bar, np.cumprod(1.0 - beta), atol=1e-12)
+    # the step variances the product implies are the linear ones, in (0, 1)
+    implied = 1.0 - s.alpha_bar / np.concatenate([[1.0], s.alpha_bar[:-1]])
+    np.testing.assert_allclose(implied, beta, atol=1e-12)
+    assert ((implied > 0) & (implied < 1)).all()
 
 
 def test_schedule_constant_beta_closed_form():

@@ -143,12 +143,15 @@ class CountingModel:
 
 def bad_inputs(video, M):
     """(video, mask) pairs the codec refuses: a height that is no multiple
-    of the patch, a non-binary mask, and masks with too few or too many
-    frames."""
-    bad = M.copy()
+    of the patch, a non-binary mask in the first and in the last frame
+    (which only a long video's last clip covers), and masks with too few
+    or too many frames."""
+    bad, bad_last = M.copy(), M.copy()
     bad[0, 0, 0, 0] = 0.5
+    bad_last[0, 0, -1, 0] = 0.5
     longer = np.concatenate([M, M[:, :, :1]], axis=2)
-    return [(video[:6], M[:6]), (video, bad), (video, M[:, :, :1]), (video, longer)]
+    return [(video[:6], M[:6]), (video, bad), (video, bad_last), (video, M[:, :, :1]),
+            (video, longer)]
 
 
 def test_outpaint_video_validation():

