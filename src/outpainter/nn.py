@@ -1,9 +1,10 @@
 """Small neural-net substrate on top of the tape: modules, linear maps,
-layer normalization, and sinusoidal encodings."""
+layer normalization (one tape node each, built in tensor.py), and
+sinusoidal encodings."""
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, layer_norm, linear  # noqa: F401 (layer_norm re-exported)
 
 
 class Module:
@@ -43,16 +44,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.W + self.b
-
-
-def layer_norm(x: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (variance floor
-    1e-5). No affine."""
-    mu = x.mean(axes=-1, keepdims=True)
-    d = x - mu
-    var = (d * d).mean(axes=-1, keepdims=True)
-    return d / (var + 1e-5) ** 0.5
+        return linear(x, self.W, self.b)
 
 
 def sinusoid_table(pos, dim: int) -> np.ndarray:

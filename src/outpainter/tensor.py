@@ -8,7 +8,9 @@ dropping each node's incoming gradient once it has been passed on, and
 stores ``.grad`` on leaves only (tensors created with requires_grad=True).
 
 Conventions:
-    * every operation materializes its result, there are no views
+    * every operation returns a new array, except ``transpose`` and
+      ``reshape``, which return numpy views of their input's array, and
+      ``linear``, which adds the bias into the product's own new buffer
     * broadcasting follows numpy's trailing-dimension rules; backward
       sums gradients over broadcast dimensions
     * gradients accumulate: calling backward twice doubles a leaf's ``.grad``
@@ -238,10 +240,7 @@ class Tensor:
     # ---- linear algebra --------------------------------------------------
     def __matmul__(self, other):
         a, b = self, _coerce(other)
-        if a.ndim < 2 or b.ndim < 2:
-            raise ValueError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-        if a.shape[-1] != b.shape[-2]:
-            raise ValueError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+        _check_matmul(a, b)
         out = _node(a.data @ b.data, (a, b))
         if out._parents:
             ad, bd = a.data, b.data
@@ -343,6 +342,13 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _check_matmul(a: Tensor, b: Tensor) -> None:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -366,3 +372,54 @@ def reduce_stats(x: Tensor, axes) -> tuple[Tensor, Tensor]:
     m_keep = x.mean(axes, keepdims=True)
     d = x - m_keep
     return x.mean(axes), (d * d).mean(axes)
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """``x @ W + b`` as one node, with the bias added into the product's
+    buffer. Forward and backward make the float operations of the matmul
+    and add pair, so results and gradients are bitwise those of the pair.
+    The parents (x, W, b) keep the pair's backward visiting order."""
+    _check_matmul(x, W)
+    y = x.data @ W.data
+    y += b.data
+    out = _node(y, (x, W, b))
+    if out._parents:
+        xd, wd = x.data, W.data
+        out._bw = lambda g: (
+            _unbroadcast(g @ np.swapaxes(wd, -1, -2), x.shape) if x.requires_grad else None,
+            _unbroadcast(np.swapaxes(xd, -1, -2) @ g, W.shape) if W.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
+    return out
+
+
+def layer_norm(x: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance (variance floor
+    1e-5). No affine.
+
+    One node with the float operations, forward and backward, of the
+    composite ``d = x - x.mean(-1, keepdims=True)`` then
+    ``d / ((d * d).mean(-1, keepdims=True) + 1e-5) ** 0.5``. x is listed
+    twice among the parents: its gradient through d and its gradient
+    through the mean arrive separately, in the composite's order, so a
+    shared x adds them to its other gradients one at a time as there.
+    """
+    axes, inv_n = (x.ndim - 1,), 1.0 / x.shape[-1]
+    d = x.data - x.data.sum(axis=axes, keepdims=True) * inv_n
+    ve = (d * d).sum(axis=axes, keepdims=True) * inv_n + 1e-5
+    r = ve**0.5
+    out = _node(d / r, (x, x))
+    if out._parents:
+        def bw(g):
+            gr = _unbroadcast(-g * d / (r * r), r.shape)
+            gdd = gr * 0.5 * ve**-0.5 * inv_n
+            gd = g / r
+            # d * d passes gdd * d once to each of its two operands
+            t = gdd * d
+            gd += t
+            gd += t
+            gmu = _unbroadcast(-gd, r.shape) * inv_n
+            return gd, np.broadcast_to(gmu, d.shape).copy()
+
+        out._bw = bw
+    return out

@@ -2,15 +2,28 @@
 
 Every differentiable primitive is checked against central finite
 differences on random inputs. The comparison is relative:
-|tape - fd| / max(|tape|, |fd|, 1e-6) <= 1e-5 with step 1e-5.
+|tape - fd| / max(|tape|, |fd|, 1e-6) <= 1e-5 with step 1e-5. The
+one-node layers ``linear`` and ``layer_norm`` must equal, bit for bit in
+values and gradients, their composites of these primitives, kept here as
+references.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from outpainter.tensor import Tensor, no_grad, reduce_stats
+from outpainter.backbone import BackboneConfig
+from outpainter.codec import latent_shape
+from outpainter.diffusion import make_schedule
+from outpainter.model import OutpaintingModel
+from outpainter.nn import Linear
+from outpainter.tensor import Tensor, layer_norm, linear, no_grad, reduce_stats
+from outpainter.training import (LossConfig, TrainSample, sample_training_mask, synth_video,
+                                 training_losses)
 
 STEP = 1e-5
 TOL = 1e-5
@@ -336,3 +349,130 @@ def test_numpy_does_not_capture_tensor():
     assert y.requires_grad
     with pytest.raises(TypeError):
         np.ones((2, 2)) * x
+
+
+# ---- one-node layers -----------------------------------------------------------
+
+
+def composite_linear(x, W, b):
+    return x @ W + b
+
+
+def composite_layer_norm(x):
+    mu = x.mean(axes=-1, keepdims=True)
+    d = x - mu
+    var = (d * d).mean(axes=-1, keepdims=True)
+    return d / (var + 1e-5) ** 0.5
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def op_nodes(out):
+    """Recorded operations reachable from out."""
+    seen, stack, n = set(), [out], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            n += t._bw is not None
+            stack.extend(t._parents)
+    return n
+
+
+values = st.floats(-4.0, 4.0, width=64)
+
+
+def leading_and_tokens(draw):
+    return draw(st.sampled_from([(), (2,)])) + (draw(st.integers(1, 4)),)
+
+
+@st.composite
+def linear_cases(draw):
+    """(residual, (x, W, b), loss weights) with x (L, d) or (2, L, d); W
+    maps d to d when x feeds a residual add as well."""
+    residual = draw(st.booleans())
+    tokens, d_in = leading_and_tokens(draw), draw(st.integers(1, 5))
+    d_out = d_in if residual else draw(st.integers(1, 5))
+    inputs = tuple(draw(arrays(np.float64, shape, elements=values))
+                   for shape in (tokens + (d_in,), (d_in, d_out), (d_out,)))
+    return residual, inputs, draw(arrays(np.float64, tokens + (d_out,), elements=values))
+
+
+@st.composite
+def layer_norm_cases(draw):
+    shape = leading_and_tokens(draw) + (draw(st.integers(1, 5)),)
+    x, w = (draw(arrays(np.float64, shape, elements=values)) for _ in range(2))
+    return draw(st.booleans()), (x,), w
+
+
+def run_layer(fn, residual, inputs, w):
+    """Output and leaf gradients of sum(w * y), y = fn(*inputs), plus
+    inputs[0] when residual."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in inputs]
+    y = fn(*leaves)
+    if residual:
+        y = leaves[0] + y
+    (y * w).sum().backward()
+    return [y.data] + [t.grad for t in leaves]
+
+
+@given(linear_cases())
+def test_linear_is_bitwise_the_matmul_add_pair(case):
+    got, want = run_layer(linear, *case), run_layer(composite_linear, *case)
+    assert all(same_bits(g, r) for g, r in zip(got, want))
+
+
+@given(layer_norm_cases())
+def test_layer_norm_is_bitwise_the_composite(case):
+    # the residual case pins the order in which x's three gradients add up
+    got, want = run_layer(layer_norm, *case), run_layer(composite_layer_norm, *case)
+    assert all(same_bits(g, r) for g, r in zip(got, want))
+
+
+@given(linear_cases())
+def test_one_node_layers_under_no_grad(case):
+    x, W, b = (Tensor(a, requires_grad=True) for a in case[1])
+    with no_grad():
+        pairs = [(linear(x, W, b), composite_linear(x, W, b)),
+                 (layer_norm(x), composite_layer_norm(x))]
+    for got, want in pairs:
+        assert same_bits(got.data, want.data)
+        assert not got.requires_grad and got._parents == ()
+
+
+def test_linear_rejects_wrong_input_width():
+    lin = Linear(np.random.default_rng(0), 3, 2)
+    with pytest.raises(ValueError, match="matmul inner dimensions disagree"):
+        lin(Tensor(np.zeros((4, 5))))
+
+
+def test_linear_and_layer_norm_record_one_node_each():
+    rng = np.random.default_rng(16)
+    x = Tensor(rand(rng, 2, 4, 3), requires_grad=True)
+    assert op_nodes(Linear(rng, 3, 5)(x)) == 1
+    assert op_nodes(layer_norm(x)) == 1
+
+
+def test_default_training_step_tape_size():
+    # t >= t_latent: no latent-alignment term
+    rng = np.random.default_rng(0)
+    H, W, S = 16, 16, 8
+    sample = TrainSample(synth_video(rng, H, W, S), sample_training_mask(H, W, S, rng), 500,
+                         rng.standard_normal(latent_shape(H, W, S)), False)
+    model = OutpaintingModel(BackboneConfig(), seed=0)
+    total, _, _ = training_losses(model, sample, LossConfig(), make_schedule())
+    assert op_nodes(total) == 213
+
+
+def test_backward_twice_doubles_grads_through_one_node_layers():
+    rng = np.random.default_rng(17)
+    x = Tensor(rand(rng, 4, 3), requires_grad=True)
+    lin = Linear(rng, 3, 5)
+    loss = (layer_norm(lin(x)) * rand(rng, 4, 5)).sum()
+    loss.backward()
+    first = [t.grad.copy() for t in (x, lin.W, lin.b)]
+    loss.backward()
+    for t, g in zip((x, lin.W, lin.b), first):
+        np.testing.assert_array_equal(t.grad, 2.0 * g)
