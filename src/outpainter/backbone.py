@@ -14,7 +14,7 @@ import numpy as np
 
 from .codec import LATENT_DEPTH
 from .nn import Linear, Module, layer_norm, param, sinusoid_table
-from .tensor import Tensor, stack
+from .tensor import Tensor, attention, stack
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,16 @@ class BackboneConfig:
         if self.d_latent != LATENT_DEPTH:
             raise ValueError(f"d_latent must be the codec's latent depth {LATENT_DEPTH}, "
                              f"got {self.d_latent}")
-        if self.d_model % self.n_heads:
-            raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
+        _check_heads(self.d_model, self.n_heads)
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.n_blocks < 2:
             raise ValueError("need at least 2 blocks: conditions enter after the first")
+
+
+def _check_heads(d_model: int, n_heads: int) -> None:
+    if n_heads < 1 or d_model % n_heads:
+        raise ValueError(f"d_model {d_model} not divisible by {n_heads} heads")
 
 
 def tokenize(z):
@@ -111,6 +115,7 @@ def mask_multipliers(scaler: MaskScaler, m_tokens: Tensor, gamma: float) -> Tens
 
 class Attention(Module):
     def __init__(self, rng, d_model: int, n_heads: int):
+        _check_heads(d_model, n_heads)
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
         self.wq = Linear(rng, d_model, d_model)
@@ -123,26 +128,13 @@ class Attention(Module):
 
         Leading axes hold independent sequences that share the multipliers.
         """
-        *lead, L, d = x.shape
-        lead = tuple(lead)
+        L = x.shape[-2]
         if multipliers.shape != (L, 1):
             raise ValueError(f"multipliers shape {multipliers.shape} != {(L, 1)}")
         q = self.wq(x)
         k = self.wk(x) * multipliers  # per-token key scaling, uniform over channels
         v = self.wv(x)
-        n = len(lead)
-        # (..., L, heads, d_head) <-> (..., heads, L, d_head)
-        swap = tuple(range(n)) + (n + 1, n, n + 2)
-
-        def heads(y):
-            return y.reshape(lead + (L, self.n_heads, self.d_head)).transpose(swap)
-
-        q, k, v = heads(q), heads(k), heads(v)
-        k_t = k.transpose(tuple(range(n)) + (n, n + 2, n + 1))
-        # the score array is a temporary, so softmax works in its buffer
-        attn = (q @ k_t).softmax(axis=-1, scale=1.0 / np.sqrt(self.d_head), reuse_input=True)
-        out = (attn @ v).transpose(swap).reshape(lead + (L, d))
-        return self.wo(out)
+        return self.wo(attention(q, k, v, self.n_heads, 1.0 / np.sqrt(self.d_head)))
 
 
 class Block(Module):

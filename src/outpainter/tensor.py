@@ -21,6 +21,8 @@ Conventions:
       performed by an optimizer between backward passes, and
       ``softmax(reuse_input=True)``, which hands a temporary's array to
       its result
+    * ``attention`` holds one head's (..., L, L) scores at a time; it keeps
+      every head's probabilities, for backward, only when it records
     * a graph must stay confined to one thread during backward
 """
 
@@ -293,8 +295,9 @@ class Tensor:
         the sum. By default the buffer is new. reuse_input=True computes
         in this tensor's own array instead, which then holds the result:
         only for a temporary that nothing reads again, made by an op
-        whose backward reads only its inputs (matmul does); softmax's
-        own backward reads only its output.
+        whose backward reads only its inputs; softmax's own backward reads
+        only its output. Its one caller is ``attention``, which softmaxes
+        each head's score tile where ``q @ kᵀ`` wrote it.
         """
         axis = axis % self.ndim
         y = np.multiply(self.data, scale, out=self.data if reuse_input else None)
@@ -303,13 +306,7 @@ class Tensor:
         y /= y.sum(axis=axis, keepdims=True)
         out = _node(y, (self,))
         if out._parents:
-            def bw(g):
-                gx = g - (g * y).sum(axis=axis, keepdims=True)
-                gx *= y
-                gx *= scale
-                return (gx,)
-
-            out._bw = bw
+            out._bw = lambda g: (_softmax_grad(g, y, axis, scale),)
         return out
 
     # ---- indexing / structure ---------------------------------------------
@@ -347,6 +344,14 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
         raise ValueError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int, scale: float) -> np.ndarray:
+    """Gradient into x of y = softmax(x * scale) along axis, given g into y."""
+    gx = g - (g * y).sum(axis=axis, keepdims=True)
+    gx *= y
+    gx *= scale
+    return gx
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
@@ -420,6 +425,64 @@ def layer_norm(x: Tensor) -> Tensor:
             gd += t
             gmu = _unbroadcast(-gd, r.shape) * inv_n
             return gd, np.broadcast_to(gmu, d.shape).copy()
+
+        out._bw = bw
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tensor:
+    """Multi-head ``softmax(q @ kᵀ * scale) @ v`` over (..., L, d) q, k and
+    v, each head a d/n_heads-wide channel slice, as one node.
+
+    Heads are computed one at a time, each (..., L, L) score tile softmaxed
+    in place and multiplied into its slice of the output. Only a recording
+    node keeps every head's probabilities, as one (..., n_heads, L, L)
+    array for backward; under no_grad one tile serves every head. Forward
+    and backward make the float operations of the composite that reshapes
+    and transposes each input to (..., n_heads, L, d/n_heads), multiplies
+    by the transposed keys, softmaxes, multiplies by v and transposes and
+    reshapes back, so results and gradients are bitwise that composite's.
+    The parents (q, k, v) keep its backward visiting order.
+    """
+    if not q.shape == k.shape == v.shape:
+        raise ValueError(f"attention q, k, v shapes differ: {q.shape}, {k.shape}, {v.shape}")
+    if q.ndim < 2 or n_heads < 1 or q.shape[-1] % n_heads:
+        raise ValueError(f"attention needs (..., L, d) inputs with d divisible by the "
+                         f"heads, got {q.shape} and {n_heads} heads")
+    *lead, L, d = q.shape
+    lead, dh = tuple(lead), d // n_heads
+    n = len(lead)
+    # (..., L, heads, d_head) <-> (..., heads, L, d_head)
+    swap = tuple(range(n)) + (n + 1, n, n + 2)
+    qh, kh, vh = (t.data.reshape(lead + (L, n_heads, dh)).transpose(swap) for t in (q, k, v))
+    k_t = np.swapaxes(kh, -1, -2)
+    o = np.empty(lead + (L, n_heads, dh))
+    recording = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    p = np.empty(lead + (n_heads, L, L)) if recording else None
+    buf = None if recording else np.empty(lead + (L, L))
+    for h in range(n_heads):
+        tile = p[..., h, :, :] if recording else buf
+        np.matmul(qh[..., h, :, :], k_t[..., h, :, :], out=tile)
+        Tensor(tile).softmax(axis=-1, scale=scale, reuse_input=True)
+        np.matmul(tile, vh[..., h, :, :], out=o[..., h, :])
+    out = _node(o.reshape(lead + (L, d)), (q, k, v))
+    if out._parents:
+        def back(gh):  # (..., heads, L, d_head) -> (..., L, d), a new array
+            return gh.transpose(swap).reshape(lead + (L, d))
+
+        def bw(g):
+            # the composite's order: both products of `@ v`, the softmax
+            # rule, both products of `q @ kᵀ`, then back to (..., L, d)
+            go = g.reshape(lead + (L, n_heads, dh)).transpose(swap)
+            ga = go @ np.swapaxes(vh, -1, -2) if q.requires_grad or k.requires_grad else None
+            gv = np.swapaxes(p, -1, -2) @ go if v.requires_grad else None
+            gq = gk = None
+            if ga is not None:
+                gs = _softmax_grad(ga, p, -1, scale)
+                gq = gs @ kh if q.requires_grad else None
+                if k.requires_grad:
+                    gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
+            return tuple(None if gh is None else back(gh) for gh in (gq, gk, gv))
 
         out._bw = bw
     return out

@@ -205,13 +205,14 @@ def test_batched_attention_equals_per_slice():
 
 
 def test_attention_keeps_one_score_array():
-    # at 464 tokens the (heads, L, L) scores dwarf everything else the call
-    # holds; softmax computes in their buffer instead of a second one
+    # at 464 tokens an (L, L) score tile dwarfs everything else the call
+    # holds; under no_grad one tile serves every head in turn, and softmax
+    # computes in it instead of a second buffer
     rng = np.random.default_rng(18)
     L, d, heads = 464, 64, 4
     attn = Attention(rng, d_model=d, n_heads=heads)
     x, mult = Tensor(rng.standard_normal((L, d))), Tensor(np.ones((L, 1)))
-    score_bytes = heads * L * L * 8
+    tile_bytes = L * L * 8
     with no_grad():
         ref = attn(x, mult).data
         tracemalloc.start()
@@ -221,7 +222,12 @@ def test_attention_keeps_one_score_array():
         finally:
             tracemalloc.stop()
     np.testing.assert_array_equal(got, ref)
-    assert peak < 1.5 * score_bytes, f"peak {peak / score_bytes:.2f} score arrays"
+    assert peak < 2 * tile_bytes, f"peak {peak / tile_bytes:.2f} score tiles"
+
+
+def test_attention_refuses_heads_that_do_not_divide_the_width():
+    with pytest.raises(ValueError, match="d_model 10 not divisible by 4 heads"):
+        Attention(np.random.default_rng(0), 10, 4)
 
 
 def test_two_token_hand_computed_attention():

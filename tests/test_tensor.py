@@ -3,9 +3,9 @@
 Every differentiable primitive is checked against central finite
 differences on random inputs. The comparison is relative:
 |tape - fd| / max(|tape|, |fd|, 1e-6) <= 1e-5 with step 1e-5. The
-one-node layers ``linear`` and ``layer_norm`` must equal, bit for bit in
-values and gradients, their composites of these primitives, kept here as
-references.
+one-node layers ``linear``, ``layer_norm`` and ``attention`` must equal,
+bit for bit in values and gradients, their composites of these
+primitives, kept here as references.
 """
 
 import tracemalloc
@@ -21,7 +21,7 @@ from outpainter.codec import latent_shape
 from outpainter.diffusion import make_schedule
 from outpainter.model import OutpaintingModel
 from outpainter.nn import Linear
-from outpainter.tensor import Tensor, layer_norm, linear, no_grad, reduce_stats
+from outpainter.tensor import Tensor, attention, layer_norm, linear, no_grad, reduce_stats
 from outpainter.training import (LossConfig, TrainSample, sample_training_mask, synth_video,
                                  training_losses)
 
@@ -365,6 +365,20 @@ def composite_layer_norm(x):
     return d / (var + 1e-5) ** 0.5
 
 
+def composite_attention(q, k, v, n_heads, scale):
+    *lead, L, d = q.shape
+    lead, n = tuple(lead), len(lead)
+    swap = tuple(range(n)) + (n + 1, n, n + 2)
+
+    def heads(y):
+        return y.reshape(lead + (L, n_heads, d // n_heads)).transpose(swap)
+
+    q, k, v = heads(q), heads(k), heads(v)
+    k_t = k.transpose(tuple(range(n)) + (n, n + 2, n + 1))
+    attn = (q @ k_t).softmax(axis=-1, scale=scale, reuse_input=True)
+    return (attn @ v).transpose(swap).reshape(lead + (L, d))
+
+
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -407,6 +421,30 @@ def layer_norm_cases(draw):
     return draw(st.booleans()), (x,), w
 
 
+@st.composite
+def attention_cases(draw):
+    """(residual, (x, Wq, bq, Wk, bk, Wv, bv), loss weights, n_heads): q, k
+    and v are three Linears of one (L, d) or (2, L, d) input x, so x's
+    three gradients add up in the node's parent order. d_head 16 makes
+    the scale 1/4, d_head 3 one that is not a power of two."""
+    n_heads, d_head = draw(st.sampled_from([1, 2, 4])), draw(st.sampled_from([3, 16]))
+    tokens, d = leading_and_tokens(draw), n_heads * d_head
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = [a for _ in range(3) for a in (rng.normal(0.0, d ** -0.5, (d, d)),
+                                             rng.standard_normal(d))]
+    x, w = rng.uniform(-4.0, 4.0, tokens + (d,)), rng.standard_normal(tokens + (d,))
+    return draw(st.booleans()), (x, *weights), w, n_heads
+
+
+def qkv_attention(fn, n_heads):
+    """x, Wq, bq, Wk, bk, Wv, bv -> fn over the three projections of x."""
+    def layer(x, *weights):
+        q, k, v = (linear(x, W, b) for W, b in zip(weights[::2], weights[1::2]))
+        return fn(q, k, v, n_heads, 1.0 / np.sqrt(x.shape[-1] // n_heads))
+
+    return layer
+
+
 def run_layer(fn, residual, inputs, w):
     """Output and leaf gradients of sum(w * y), y = fn(*inputs), plus
     inputs[0] when residual."""
@@ -442,6 +480,43 @@ def test_one_node_layers_under_no_grad(case):
         assert not got.requires_grad and got._parents == ()
 
 
+@given(attention_cases())
+def test_attention_is_bitwise_the_composite(case):
+    residual, inputs, w, n_heads = case
+    got = run_layer(qkv_attention(attention, n_heads), residual, inputs, w)
+    want = run_layer(qkv_attention(composite_attention, n_heads), residual, inputs, w)
+    assert all(same_bits(g, r) for g, r in zip(got, want))
+
+
+@given(attention_cases())
+def test_attention_under_no_grad(case):
+    _, inputs, _, n_heads = case
+    leaves = [Tensor(a, requires_grad=True) for a in inputs]
+    with no_grad():
+        got = qkv_attention(attention, n_heads)(*leaves)
+        want = qkv_attention(composite_attention, n_heads)(*leaves)
+    assert same_bits(got.data, want.data)
+    assert not got.requires_grad and got._parents == ()
+
+
+def test_attention_records_one_node():
+    rng = np.random.default_rng(18)
+    q, k, v = (Tensor(rand(rng, 2, 5, 6), requires_grad=True) for _ in range(3))
+    assert op_nodes(attention(q, k, v, 2, 0.5)) == 1
+
+
+@pytest.mark.parametrize("shapes, n_heads, match", [
+    (((5, 6), (5, 6), (4, 6)), 2, "shapes differ"),
+    (((5, 6), (5, 6), (5, 6)), 4, "divisible"),
+    (((5, 6), (5, 6), (5, 6)), 0, "divisible"),
+    (((6,), (6,), (6,)), 2, "divisible"),
+])
+def test_attention_rejects_bad_shapes(shapes, n_heads, match):
+    q, k, v = (Tensor(np.zeros(s)) for s in shapes)
+    with pytest.raises(ValueError, match=match):
+        attention(q, k, v, n_heads, 1.0)
+
+
 def test_linear_rejects_wrong_input_width():
     lin = Linear(np.random.default_rng(0), 3, 2)
     with pytest.raises(ValueError, match="matmul inner dimensions disagree"):
@@ -455,22 +530,33 @@ def test_linear_and_layer_norm_record_one_node_each():
     assert op_nodes(layer_norm(x)) == 1
 
 
-def test_default_training_step_tape_size():
-    # t >= t_latent: no latent-alignment term
+def training_step_nodes(t):
+    """Op nodes of one default-size training step at timestep t."""
     rng = np.random.default_rng(0)
     H, W, S = 16, 16, 8
-    sample = TrainSample(synth_video(rng, H, W, S), sample_training_mask(H, W, S, rng), 500,
+    sample = TrainSample(synth_video(rng, H, W, S), sample_training_mask(H, W, S, rng), t,
                          rng.standard_normal(latent_shape(H, W, S)), False)
     model = OutpaintingModel(BackboneConfig(), seed=0)
     total, _, _ = training_losses(model, sample, LossConfig(), make_schedule())
-    assert op_nodes(total) == 213
+    return op_nodes(total)
+
+
+def test_default_training_step_tape_size():
+    # t >= t_latent: no latent-alignment term
+    assert training_step_nodes(500) == 169
+
+
+def test_latent_alignment_training_step_tape_size():
+    # t < t_latent: the latent-alignment term adds its nodes
+    assert training_step_nodes(100) == 188
 
 
 def test_backward_twice_doubles_grads_through_one_node_layers():
     rng = np.random.default_rng(17)
-    x = Tensor(rand(rng, 4, 3), requires_grad=True)
-    lin = Linear(rng, 3, 5)
-    loss = (layer_norm(lin(x)) * rand(rng, 4, 5)).sum()
+    x = Tensor(rand(rng, 4, 6), requires_grad=True)
+    lin = Linear(rng, 6, 6)
+    y = layer_norm(lin(x))
+    loss = (attention(y, x, y * x, 2, 0.5) * rand(rng, 4, 6)).sum()
     loss.backward()
     first = [t.grad.copy() for t in (x, lin.W, lin.b)]
     loss.backward()

@@ -32,13 +32,16 @@ from outpainter.cli import entry  # noqa: E402
 
 # config file -> contents; the second sets every architecture key away from
 # its default and the third every loss and optimizer key, so a key the parser
-# routes to the wrong record or the CLI fails to pass on changes the listing
+# routes to the wrong record or the CLI fails to pass on changes the listing;
+# the fourth has 12-wide heads, so attention's scale 1/sqrt(12) is not the
+# power of two that every other config's 16-wide heads give
 CONFIGS = {
     "train.cfg": "shape = 16x16x8\nsteps = 30\nlr = 0.01\nseed = 0\n",
     "arch.cfg": ("shape = 16x16x8\nsteps = 5\nlr = 0.01\nseed = 0\nn_blocks = 2\n"
                  "d_model = 32\nn_heads = 2\ngamma = 0.25\ncontrol_hidden = 8\n"),
     "loss.cfg": ("shape = 16x16x8\nsteps = 8\nlr = 0.01\nseed = 0\nbeta = 0.5\n"
                  "t_latent = 700\ntext_drop = 0.5\nmomentum = 0.5\nrestricted = 1\n"),
+    "heads.cfg": "shape = 16x16x8\nsteps = 5\nlr = 0.01\nseed = 0\nd_model = 48\nn_heads = 4\n",
 }
 
 # (name, argv) in run order; later commands read earlier outputs
@@ -82,6 +85,14 @@ MATRIX = [
     ("outpaint-loss", ["outpaint", "--model", "loss.bin", "--input", "clip",
                        "--out", "out-loss", "--mask-ratio", "0.25", "--steps", "10",
                        "--cfg-scale", "3", "--seed", "11"]),
+    ("train-heads", ["train", "--config", "heads.cfg", "--out", "heads.bin"]),
+    ("outpaint-heads", ["outpaint", "--model", "heads.bin", "--input", "clip",
+                        "--out", "out-heads", "--mask-ratio", "0.25", "--steps", "10",
+                        "--cfg-scale", "3", "--seed", "12"]),
+    # 29-frame clips: 464 tokens per attention call
+    ("long-heads", ["outpaint-long", "--model", "heads.bin", "--input", "long",
+                    "--out", "long-heads", "--mask-ratio", "0.25", "--steps", "5",
+                    "--cfg-scale", "1", "--seed", "13"]),
 ]
 
 
