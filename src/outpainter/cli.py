@@ -114,7 +114,7 @@ def _cmd_outpaint_long(args) -> None:
 
 def _cmd_refine(args) -> None:
     template = load_frames(args.template)
-    save_frames(args.out, refine_clip(load_frames(args.input), template, template.shape[2]))
+    save_frames(args.out, refine_clip(load_frames(args.input), template))
 
 
 def _cmd_eval(args) -> None:

@@ -1,11 +1,12 @@
 """Frame-sequence storage: binary P6 portable pixmaps plus a manifest.
 
 A sequence directory holds frame_00000.ppm .. frame_{n-1:05d}.ppm and a
-manifest.txt of the form `frames=<n> width=<w> height=<h>`. Pixels are
-8-bit RGB; arrays are (H, W, S, 3) uint8. `load_frames` returns that
-shape as a view of a frame-major (S, H, W, 3) buffer, so each frame is one
-contiguous block that a file's pixel body is copied into, and saving such
-a view writes each frame without gathering it.
+manifest.txt of the form `frames=<n> width=<w> height=<h>`, each key once
+and no other. Pixels are 8-bit RGB; arrays are (H, W, S, 3) uint8.
+`load_frames` returns that shape as a view of a frame-major (S, H, W, 3)
+buffer, so each frame is one contiguous block that a file's pixel body is
+copied into, and saving such a view writes each frame without gathering
+it.
 """
 
 import os
@@ -90,6 +91,10 @@ def load_frames(directory: str) -> np.ndarray:
             if "=" not in tok:
                 raise ValueError(f"{directory}: malformed manifest token {tok!r}")
             k, v = tok.split("=", 1)
+            if k not in ("frames", "width", "height"):
+                raise ValueError(f"{directory}: unknown manifest key {k!r}")
+            if k in fields:
+                raise ValueError(f"{directory}: duplicate manifest key {k!r}")
             fields[k] = v
     try:
         S, W, H = int(fields["frames"]), int(fields["width"]), int(fields["height"])

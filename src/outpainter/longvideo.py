@@ -1,14 +1,15 @@
 """Long-video scheduling: overlapping clips, overlap conditioning, and the
 statistical cross-clip refiner.
 
-A long video is generated clip by clip. Each clip reuses the K frames it
-shares with the already-generated output as fully-given condition frames,
-and its colors are then matched to the previous clip through the shared
-overlap: first a per-channel mean/variance alignment, then 256-bin
-histogram matching. Each stage takes the source and template overlaps as
-256-bin Histograms and maps each 8-bit level to one level, so the refiner
-runs both on a table of the 256 levels, takes exact integer moments from
-the histograms, and gathers its uint8 clip through the table.
+A long video is generated clip by clip into one output video. Each clip
+reuses the K frames at its start, which earlier clips already wrote to
+that output, as fully-given condition frames, and its colors are then
+matched to the previous clip through the shared overlap: first a
+per-channel mean/variance alignment, then 256-bin histogram matching.
+Each stage takes the source and template overlaps as 256-bin Histograms
+and maps each 8-bit level to one level, so the refiner runs both on a
+table of the 256 levels, takes exact integer moments from the
+histograms, and gathers its uint8 clip through the table.
 """
 
 import math
@@ -44,31 +45,26 @@ def plan_clips(S_l: int, S: int, K: int) -> ClipPlan:
     return ClipPlan(ranges=tuple((s, s + S) for s in starts))
 
 
-def build_condition(prev_clip_out: np.ndarray, cur_masked: np.ndarray,
-                    cur_masks: np.ndarray, K: int):
+def build_condition(overlap: np.ndarray, cur_masked: np.ndarray, cur_masks: np.ndarray):
     """Compose a clip input whose first K frames are already outpainted.
 
-    prev_clip_out supplies the condition frames (its last K frames; the
-    pipeline passes exactly the frames generated at this clip's first K
-    global positions). The rest of the clip keeps its masked input frames
-    and outpainting masks; the condition frames get all-ones masks. The
-    frames may be pixels or latents: only the (h, w, s) axes are read.
+    overlap supplies the K condition frames, K being its frame count (the
+    pipeline passes the frames generated at this clip's first K global
+    positions). The rest of the clip keeps its masked input frames and
+    outpainting masks; the condition frames get all-ones masks. The frames
+    may be pixels or latents: only the (h, w, s) axes are read.
     """
-    if K <= 0:
-        raise ValueError(f"overlap K must be positive, got {K}")
-    if prev_clip_out.shape[2] < K:
-        raise ValueError(f"previous clip has {prev_clip_out.shape[2]} frames, need >= {K}")
-    S = cur_masked.shape[2]
-    if K >= S:
-        raise ValueError(f"overlap K={K} must be smaller than clip length {S}")
+    K, S = overlap.shape[2], cur_masked.shape[2]
+    if not 0 < K < S:
+        raise ValueError(f"overlap has {K} frames, need 0 < K < clip length {S}")
     if cur_masks.shape != cur_masked.shape[:3] + (1,):
         raise ValueError(f"mask shape {cur_masks.shape} does not match clip")
-    if prev_clip_out.shape[:2] != cur_masked.shape[:2]:
-        raise ValueError("previous clip spatial shape differs from current clip")
+    if overlap.shape[:2] != cur_masked.shape[:2]:
+        raise ValueError("overlap spatial shape differs from current clip")
 
     x_bar = cur_masked.copy()
     m_bar = cur_masks.copy()
-    x_bar[:, :, :K] = prev_clip_out[:, :, -K:]
+    x_bar[:, :, :K] = overlap
     m_bar[:, :, :K] = 1.0
     return x_bar, m_bar
 
@@ -174,21 +170,20 @@ def histogram_matching(src: Histogram, tmpl: Histogram, target: np.ndarray) -> n
     return out
 
 
-def refine_clip(clip: np.ndarray, template: np.ndarray, K: int) -> np.ndarray:
+def refine_clip(clip: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Match a clip's colors to the previous clip via the K-frame overlap.
 
-    clip and template hold 8-bit integer values. Both stages take
-    Histograms: the template's, and as source the histogram of the clip's
-    own first K frames, pushed through the first stage's table before the
-    second so the histogram step sees what it will actually transform.
-    Both run on a (256, C) table of levels; the clip is then gathered
-    through the table one frame plane at a time into a frame-major uint8
-    buffer, whose (H, W, S, C) view is returned.
+    clip and template hold 8-bit integer values; K is the template's frame
+    count. Both stages take Histograms: the template's, and as source the
+    histogram of the clip's own first K frames, pushed through the first
+    stage's table before the second so the histogram step sees what it
+    will actually transform. Both run on a (256, C) table of levels; the
+    clip is then gathered through the table one frame plane at a time into
+    a frame-major uint8 buffer, whose (H, W, S, C) view is returned.
     """
-    if K <= 0 or K >= clip.shape[2]:
-        raise ValueError(f"overlap K={K} outside (0, {clip.shape[2]})")
-    if template.shape[2] != K:
-        raise ValueError(f"template has {template.shape[2]} frames, expected {K}")
+    K = template.shape[2]
+    if not 0 < K < clip.shape[2]:
+        raise ValueError(f"template has {K} frames, need 0 < K < clip length {clip.shape[2]}")
     clip = _check_u8_values("clip", clip)
     src, tmpl = Histogram.of("clip", clip[:, :, :K]), Histogram.of("template", template)
     H, W, S, C = clip.shape
@@ -203,30 +198,3 @@ def refine_clip(clip: np.ndarray, template: np.ndarray, K: int) -> np.ndarray:
             np.take(lut[:, c], clip[:, :, s, c], out=frames[s, :, :, c], mode="wrap")
     return frames.transpose(1, 2, 0, 3)
 
-
-def assemble(clips: list, plan: ClipPlan, window: tuple[int, int] | None = None) -> np.ndarray:
-    """Stitch clips onto the S_l timeline; earlier clips win on overlaps
-    (a later clip's overlap frames are conditioned copies).
-
-    With `window=(start, end)` only frames [start, end) of the timeline
-    are built and returned, each taken from the same clip as without it.
-    """
-    if len(clips) != len(plan.ranges):
-        raise ValueError(f"{len(clips)} clips for {len(plan.ranges)} planned ranges")
-    S_l = plan.ranges[-1][1]
-    lo, hi = (0, S_l) if window is None else window
-    if not 0 <= lo < hi <= S_l:
-        raise ValueError(f"window [{lo},{hi}) is not inside the timeline [0,{S_l})")
-    H, W, _, C = clips[0].shape
-    out = np.empty((H, W, hi - lo, C), dtype=np.asarray(clips[0]).dtype)
-    written = np.zeros(hi - lo, dtype=bool)
-    for clip, (start, end) in zip(reversed(clips), reversed(plan.ranges)):
-        if clip.shape[2] != end - start:
-            raise ValueError(f"clip has {clip.shape[2]} frames for range [{start},{end})")
-        a, b = max(start, lo), min(end, hi)
-        if a < b:
-            out[:, :, a - lo:b - lo] = clip[:, :, a - start:b - start]
-            written[a - lo:b - lo] = True
-    if not written.all():
-        raise ValueError("plan does not cover every frame")
-    return out

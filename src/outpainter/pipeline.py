@@ -1,5 +1,6 @@
 """End-to-end outpainting drivers: evaluation masks, the single-clip
-sampler round trip, and the iterative long-video loop.
+sampler round trip, and the iterative long-video loop that writes its
+clips into one output video.
 
 Masks here mark the GIVEN region with ones; the zeros are what the model
 must invent. Evaluation masks keep a centered band and generate
@@ -12,7 +13,7 @@ import numpy as np
 
 from .codec import band_mask, decode, downsample_mask, encode, masked_input
 from .diffusion import Schedule, SamplerConfig, sample
-from .longvideo import assemble, build_condition, plan_clips, refine_clip
+from .longvideo import build_condition, plan_clips, refine_clip
 from .util import from_u8, round_half_away, to_u8
 
 
@@ -62,12 +63,14 @@ def outpaint_video(model, video: np.ndarray, M: np.ndarray, config: SamplerConfi
 
 def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: int,
                   config: SamplerConfig, sched: Schedule, refine: bool = True) -> np.ndarray:
-    """Outpaint a long video clip by clip, stitched with `assemble`.
+    """Outpaint a long video clip by clip into one output video.
 
-    Each clip after the first takes its first K frames verbatim from the
-    clips already generated (all-ones masks), is sampled with seed offset
-    by the clip index, is statistically matched to that overlap, and then
-    has the given pixels restored. Overlapping frames keep the earliest
+    The output is allocated once, in the input's layout. Each clip after
+    the first takes its first K frames verbatim from that output (all-ones
+    masks), is sampled with seed offset by the clip index, is statistically
+    matched to that overlap, and has the given pixels restored; it then
+    writes only the frames no earlier clip wrote. Every planned clip starts
+    inside the one before it, so overlapping frames keep the earliest
     clip's pixels. Returns a uint8 video of the full length.
     """
     if video_u8.dtype != np.uint8:
@@ -77,18 +80,21 @@ def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: in
     z_given = encode(masked_input(from_u8(video_u8), M))
     m_given = downsample_mask(M)
     plan = plan_clips(video_u8.shape[2], S_clip, K)
-    outs = []
+    video = np.empty_like(video_u8)
+    done = 0  # frames [0, done) of video are written
 
     for i, (a, b) in enumerate(plan.ranges):
         z_masked, m = z_given[:, :, a:b], m_given[:, :, a:b]
         if i > 0:
-            overlap = assemble(outs, replace(plan, ranges=plan.ranges[:i]), (a, a + K))
-            z_masked, m = build_condition(encode(from_u8(overlap)), z_masked, m, K)
+            overlap = video[:, :, a:a + K]
+            z_masked, m = build_condition(encode(from_u8(overlap)), z_masked, m)
         cfg_i = replace(config, seed=config.seed + i)
         z0 = sample(model, z_masked, m, model.text_vector(), cfg_i, sched)
         out = to_u8(decode(z0))
         if i > 0 and refine:
-            out = refine_clip(out, overlap, K)
-        outs.append(masked_input(video_u8[:, :, a:b], M[:, :, a:b], out))
+            out = refine_clip(out, overlap)
+        out = masked_input(video_u8[:, :, a:b], M[:, :, a:b], out)
+        video[:, :, done:b] = out[:, :, done - a:]
+        done = b
 
-    return assemble(outs, plan)
+    return video

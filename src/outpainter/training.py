@@ -202,15 +202,16 @@ def _parse_value(key: str, kind: type, val: str):
 
 
 def parse_train_config(text: str) -> TrainConfig:
-    """key=value lines; '#' starts a comment. Unknown keys and values a run
-    cannot use are rejected with the number of their line or lines. The
-    architecture and loss keys set TrainConfig.model and .loss."""
+    """key=value lines; '#' starts a comment. Unknown or repeated keys and
+    values a run cannot use are rejected with the number of their line or
+    lines. The architecture and loss keys set TrainConfig.model and .loss."""
     cfg = TrainConfig()
     owner = {key: name for name, keys in _RECORD_KEYS.items() for key in keys}
     kinds = {f.name: f.type for f in fields(TrainConfig) if f.name not in _RECORD_KEYS}
     kinds.update((f.name, f.type) for f in fields(BackboneConfig) + fields(LossConfig)
                  if f.name in owner)
     given = {name: {} for name in _RECORD_KEYS}
+    seen = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -220,6 +221,9 @@ def parse_train_config(text: str) -> TrainConfig:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in kinds:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"lines {seen[key]}, {lineno}: duplicate key {key!r}")
+        seen[key] = lineno
         try:
             value = _parse_value(key, kinds[key], val)
         except ValueError as e:

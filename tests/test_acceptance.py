@@ -20,7 +20,7 @@ from outpainter.codec import decode, downsample_mask, encode
 from outpainter.control import standardize
 from outpainter.diffusion import SamplerConfig, make_schedule, predict_z0, q_sample
 from outpainter.frameio import load_frames, save_frames
-from outpainter.longvideo import (Histogram, assemble, build_condition, histogram_matching,
+from outpainter.longvideo import (Histogram, build_condition, histogram_matching,
                                   mean_variance_alignment, plan_clips)
 from outpainter.metrics import psnr
 from outpainter.model import OutpaintingModel
@@ -380,8 +380,9 @@ def test_06_refiner_matches_brute_force_oracles():
 # --------------------------------------------------------------------------
 
 def test_07_clip_plan_315_frames():
-    """S_l=315, S=29, K=3: exactly 12 clips at stride 26; assembly covers
-    all 315 frames; conditioned overlap frames carry all-ones masks."""
+    """S_l=315, S=29, K=3: exactly 12 clips at stride 26; the clips cover
+    all 315 frames, each starting inside the one before it; conditioned
+    overlap frames carry all-ones masks."""
     plan = plan_clips(315, 29, 3)
     assert len(plan.ranges) == 12
     starts = [a for a, _ in plan.ranges]
@@ -390,20 +391,23 @@ def test_07_clip_plan_315_frames():
     assert plan.ranges[0] == (0, 29)
     assert plan.ranges[-1] == (286, 315)
 
-    rng = np.random.default_rng(5)
-    clips = [rng.integers(0, 256, (4, 4, 29, 3)) for _ in plan.ranges]
-    out = assemble(clips, plan)
-    assert out.shape == (4, 4, 315, 3)
+    # the long-video loop writes each clip's frames past the previous
+    # clip's end, so 29-frame clips from frame 0, each starting inside the
+    # one before it, with the last ending at 315, cover every frame
+    assert all(b - a == 29 for a, b in plan.ranges)
+    for (_, prev_end), (start, end) in zip(plan.ranges, plan.ranges[1:]):
+        assert start < prev_end < end
 
+    rng = np.random.default_rng(5)
     for i in range(1, len(plan.ranges)):
         prev_out = rng.random((4, 4, 29, 3))
         cur = rng.random((4, 4, 29, 3))
         masks = (rng.random((4, 4, 29, 1)) < 0.5).astype(np.float64)
-        x_bar, m_bar = build_condition(prev_out, cur, masks, K=3)
+        x_bar, m_bar = build_condition(prev_out[:, :, -3:], cur, masks)
         assert (m_bar[:, :, :3] == 1.0).all()
         np.testing.assert_array_equal(x_bar[:, :, :3], prev_out[:, :, -3:])
         np.testing.assert_array_equal(m_bar[:, :, 3:], masks[:, :, 3:])
-    print("[7] PASS: 12 clips, stride 26, last (286,315), 315 assembled "
+    print("[7] PASS: 12 clips, stride 26, last (286,315), 315 covered "
           "frames, all-ones condition masks")
 
 

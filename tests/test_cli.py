@@ -116,7 +116,7 @@ def test_refine_matches_library_call(tmp_path):
     code = entry(["refine", "--input", str(tmp_path / "clip"),
                   "--template", str(tmp_path / "tmpl"), "--out", str(out)])
     assert code == 0
-    want = refine_clip(clip.astype(np.int64), template.astype(np.int64), K=2)
+    want = refine_clip(clip.astype(np.int64), template.astype(np.int64))
     np.testing.assert_array_equal(load_frames(str(out)), want.astype(np.uint8))
 
 
@@ -137,7 +137,7 @@ def test_train_writes_loadable_checkpoint(tmp_path, capsys):
                                   "beta=-1"])
 def test_exit_code_unusable_train_config(tmp_path, capsys, line):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text(f"shape=8x8x2\nsteps=1\n{line}\n")
+    cfg.write_text(f"shape=8x8x2\nseed=0\n{line}\n")  # line 2 sets a key no case repeats
     out = tmp_path / "m.bin"
     assert entry(["train", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
@@ -153,6 +153,22 @@ def test_train_rejects_unrunnable_d_model_before_any_step(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: lines 3, 4: d_model must be even and >= 6, got 4\n"
+    assert not out.exists()
+
+
+def test_train_refuses_repeated_config_key_before_building_a_model(tmp_path, capsys,
+                                                                  monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr("outpainter.cli.OutpaintingModel", no_model)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("shape=8x8x2\nsteps=5\nsteps=7\n")
+    out = tmp_path / "m.bin"
+    assert entry(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lines 2, 3: duplicate key 'steps'\n"
     assert not out.exists()
 
 
@@ -197,7 +213,9 @@ def test_exit_code_corrupt_frame_manifest(tmp_path, capsys):
     save_frames(str(clip), np.zeros((4, 4, 3, 3), dtype=np.uint8))
     save_frames(str(tmpl), np.zeros((4, 4, 2, 3), dtype=np.uint8))
     for manifest, reason in (("frames=100000 width=100000 height=100000", "missing frame index 3"),
-                             ("frames=3 width=100000 height=100000", "frame 0 is 4x4")):
+                             ("frames=3 width=100000 height=100000", "frame 0 is 4x4"),
+                             ("frames=3 width=4 height=4 frames=2", "duplicate manifest key"),
+                             ("frames=3 width=4 height=4 colour=grey", "unknown manifest key")):
         (clip / "manifest.txt").write_text(manifest + "\n")
         assert entry(["refine", "--input", str(clip), "--template", str(tmpl),
                       "--out", str(tmp_path / "o")]) == 2

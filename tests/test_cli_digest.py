@@ -1,10 +1,12 @@
 """The byte contract: every file the CLI writes on tools/cli_digest.py's
-command matrix hashes to the checked-in listing tools/cli_digest.txt.
+command matrix, and the float64 latents its two direct sampler runs
+return, hash to the checked-in listing tools/cli_digest.txt.
 
 The listing was made with numpy 2.4.6 and OpenBLAS 0.3.31 (Haswell
-kernel), and measured the same at 1 and 2 BLAS threads. Another numpy,
-BLAS build or CPU kernel may round a last bit differently and fail this
-test with no change to the code. A change that means to move an output
+kernel) at 1 BLAS thread. Its file lines measured the same at 2 threads;
+the 464-token sampled latent does not. Another numpy, BLAS build or CPU
+kernel may round a last bit differently and fail this test with no change
+to the code. A change that means to move an output
 regenerates the listing from a checkout root,
 
     OPENBLAS_NUM_THREADS=1 python tools/cli_digest.py > tools/cli_digest.txt

@@ -146,6 +146,23 @@ def test_manifest_missing_key_rejected(tmp_path):
         load_frames(str(d))
 
 
+@pytest.mark.parametrize("manifest, reason", [
+    ("frames=3 width=4 height=4 frames=2 colour=grey", "duplicate manifest key 'frames'"),
+    ("frames=3 width=4 height=4 width=4", "duplicate manifest key 'width'"),
+    ("frames=3 width=4 height=4 colour=grey", "unknown manifest key 'colour'"),
+    ("Frames=3 width=4 height=4", "unknown manifest key 'Frames'"),
+])
+def test_manifest_repeated_or_unknown_key_rejected(tmp_path, manifest, reason):
+    # the last of a repeated key used to win, so the first manifest loaded
+    # 2 of the sequence's 3 frames
+    d = tmp_path / "out"
+    save_frames(str(d), np.zeros((4, 4, 3, 3), dtype=np.uint8))
+    (d / "manifest.txt").write_text(manifest + "\n")
+    with pytest.raises(ValueError) as info:
+        load_frames(str(d))
+    assert str(info.value) == f"{d}: {reason}"
+
+
 def test_non_uint8_save_rejected(tmp_path):
     with pytest.raises(ValueError):
         save_frames(str(tmp_path / "x"), np.zeros((4, 4, 2, 3)))

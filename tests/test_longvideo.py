@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from outpainter.longvideo import (
     Histogram,
-    assemble,
     build_condition,
     histogram_matching,
     mean_variance_alignment,
@@ -138,7 +137,7 @@ def test_build_condition_composition():
     prev = rng.random((4, 4, 29, 3))
     cur_masked = rng.random((4, 4, 29, 3))
     cur_masks = (rng.random((4, 4, 29, 1)) < 0.5).astype(float)
-    x_bar, m_bar = build_condition(prev, cur_masked, cur_masks, 3)
+    x_bar, m_bar = build_condition(prev[:, :, -3:], cur_masked, cur_masks)
     np.testing.assert_array_equal(x_bar[:, :, :3], prev[:, :, -3:])
     np.testing.assert_array_equal(m_bar[:, :, :3], 1.0)
     np.testing.assert_array_equal(x_bar[:, :, 3:], cur_masked[:, :, 3:])
@@ -156,22 +155,19 @@ def test_build_condition_frame_k_bookkeeping():
     cur_masked = long_masked[:, :, start:start + S]
     prev = rng.random((4, 4, S, 3))
     masks = np.ones((4, 4, S, 1))
-    x_bar, _ = build_condition(prev, cur_masked, masks, K)
+    x_bar, _ = build_condition(prev[:, :, -K:], cur_masked, masks)
     np.testing.assert_array_equal(x_bar[:, :, K], long_masked[:, :, start + K])
 
 
 def test_build_condition_errors():
-    prev = np.zeros((4, 4, 1, 3))
     cur = np.zeros((4, 4, 8, 3))
     masks = np.ones((4, 4, 8, 1))
     with pytest.raises(ValueError):
-        build_condition(prev, cur, masks, 2)  # prev too short
+        build_condition(np.zeros((4, 4, 0, 3)), cur, masks)  # K=0 rejected
     with pytest.raises(ValueError):
-        build_condition(np.zeros((4, 4, 8, 3)), cur, masks, 0)  # K=0 rejected
+        build_condition(np.zeros((4, 4, 8, 3)), cur, masks)  # K >= S
     with pytest.raises(ValueError):
-        build_condition(np.zeros((4, 4, 8, 3)), cur, masks, 8)  # K >= S
-    with pytest.raises(ValueError):
-        build_condition(np.zeros((5, 4, 8, 3)), cur, masks, 2)  # spatial mismatch
+        build_condition(np.zeros((5, 4, 2, 3)), cur, masks)  # spatial mismatch
 
 
 # ---- mean/variance alignment -------------------------------------------------
@@ -298,13 +294,13 @@ def test_refine_clip_identity_when_overlap_matches():
     clip[0, 0, 0] = palette[:3]  # make sure the overlap holds all values
     clip[1, 0, 0] = palette[3:][[0, 1, 0]]
     tmpl = clip[:, :, :2].copy()
-    out = refine_clip(clip, tmpl, K=2)
+    out = refine_clip(clip, tmpl)
     np.testing.assert_array_equal(out, clip)
 
     # on arbitrary data, values that occur in the overlap are exactly fixed
     clip2 = rng.integers(0, 256, size=(4, 4, 6, 3))
     tmpl2 = clip2[:, :, :2].copy()
-    out2 = refine_clip(clip2, tmpl2, K=2)
+    out2 = refine_clip(clip2, tmpl2)
     for c in range(3):
         occurring = np.unique(tmpl2[..., c])
         sel = np.isin(clip2[..., c], occurring)
@@ -316,8 +312,8 @@ def test_refine_clip_idempotent_up_to_rounding():
     for trial in range(10):
         clip = rng.integers(0, 256, size=(4, 4, 6, 3))
         tmpl = rng.integers(0, 256, size=(4, 4, 2, 3))
-        once = refine_clip(clip, tmpl, K=2)
-        twice = refine_clip(once, tmpl, K=2)
+        once = refine_clip(clip, tmpl)
+        twice = refine_clip(once, tmpl)
         assert np.abs(twice.astype(int) - once.astype(int)).max() <= 1, f"trial {trial}"
 
 
@@ -326,7 +322,7 @@ def test_refine_clip_overlap_mean_approaches_template():
     for _ in range(10):
         clip = rng.integers(30, 220, size=(6, 6, 8, 3))
         tmpl = rng.integers(30, 220, size=(6, 6, 3, 3))
-        out = refine_clip(clip, tmpl, K=3)
+        out = refine_clip(clip, tmpl)
         for c in range(3):
             assert abs(out[:, :, :3, ..., c].mean() - tmpl[..., c].mean()) <= 1.0
 
@@ -339,7 +335,7 @@ def test_refine_clip_stage_toggles():
     # with the stage-one overlap frames as the source
     mv = quantize_u8(mean_variance_alignment(*hists(clip[:, :, :2], tmpl),
                                              clip.astype(float)))
-    np.testing.assert_array_equal(refine_clip(clip, tmpl, K=2),
+    np.testing.assert_array_equal(refine_clip(clip, tmpl),
                                   histogram_matching(*hists(mv[:, :, :2], tmpl), mv))
 
 
@@ -379,7 +375,7 @@ def test_refine_clip_equals_per_pixel_stages(case):
                                              clip.astype(float)))
     want = histogram_matching(*hists(mv[:, :, :K], tmpl), mv)
     for dtype in (np.uint8, np.int64):
-        got = refine_clip(clip.astype(dtype), tmpl.astype(dtype), K)
+        got = refine_clip(clip.astype(dtype), tmpl.astype(dtype))
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, want)
 
@@ -392,8 +388,8 @@ def frame_major(a):
 @given(refine_cases())
 def test_refine_clip_same_bytes_for_any_layout(case):
     clip, tmpl, K = case
-    want = refine_clip(clip, tmpl, K)
-    got = refine_clip(frame_major(clip), frame_major(tmpl), K)
+    want = refine_clip(clip, tmpl)
+    got = refine_clip(frame_major(clip), frame_major(tmpl))
     assert got.tobytes(order="C") == want.tobytes(order="C")
 
 
@@ -437,7 +433,7 @@ def test_refine_clip_memory_is_a_few_clips():
     tmpl = rng.integers(0, 256, size=(64, 64, 3, 3), dtype=np.uint8)
     tracemalloc.start()
     try:
-        refine_clip(clip, tmpl, K=3)
+        refine_clip(clip, tmpl)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -445,54 +441,9 @@ def test_refine_clip_memory_is_a_few_clips():
 
 
 def test_refine_clip_validation():
+    # K is the template's frame count, and must lie in (0, S)
     clip = np.zeros((2, 2, 4, 3), dtype=int)
-    tmpl = np.zeros((2, 2, 2, 3), dtype=int)
-    with pytest.raises(ValueError):
-        refine_clip(clip, tmpl, K=0)
-    with pytest.raises(ValueError):
-        refine_clip(clip, tmpl, K=4)
-    with pytest.raises(ValueError):
-        refine_clip(clip, np.zeros((2, 2, 3, 3), dtype=int), K=2)
+    for K in (0, 4):
+        with pytest.raises(ValueError):
+            refine_clip(clip, np.zeros((2, 2, K, 3), dtype=int))
 
-
-# ---- assembly -----------------------------------------------------------------
-
-
-def test_assemble_single_clip_identity():
-    rng = np.random.default_rng(14)
-    clip = rng.random((3, 3, 29, 3))
-    plan = plan_clips(29, 29, 3)
-    np.testing.assert_array_equal(assemble([clip], plan), clip)
-
-
-def test_assemble_earlier_clip_wins_overlap():
-    plan = plan_clips(55, 29, 3)
-    clip0 = np.zeros((2, 2, 29, 3))
-    clip1 = np.ones((2, 2, 29, 3))
-    out = assemble([clip0, clip1], plan)
-    assert out.shape == (2, 2, 55, 3)
-    np.testing.assert_array_equal(out[:, :, :29], 0.0)  # includes overlap 26..28
-    np.testing.assert_array_equal(out[:, :, 27], 0.0)  # frame 27 from clip 0
-    np.testing.assert_array_equal(out[:, :, 29:], 1.0)
-
-
-def test_assemble_window_matches_full_timeline():
-    # (11, 5, 3): clips [0,5) [2,7) [4,9) [6,11); frame 4 lies in three clips
-    rng = np.random.default_rng(15)
-    plan = plan_clips(11, 5, 3)
-    clips = [rng.random((2, 2, 5, 3)) for _ in plan.ranges]
-    full = assemble(clips, plan)
-    for window in ((0, 11), (4, 7), (3, 4), (6, 11), (10, 11)):
-        np.testing.assert_array_equal(assemble(clips, plan, window), full[:, :, slice(*window)])
-
-
-def test_assemble_validation():
-    plan = plan_clips(55, 29, 3)
-    with pytest.raises(ValueError):
-        assemble([np.zeros((2, 2, 29, 3))], plan)
-    with pytest.raises(ValueError):
-        assemble([np.zeros((2, 2, 29, 3)), np.zeros((2, 2, 28, 3))], plan)
-    clips = [np.zeros((2, 2, 29, 3))] * 2
-    for window in ((-1, 3), (50, 56), (4, 4)):
-        with pytest.raises(ValueError, match="window"):
-            assemble(clips, plan, window)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from outpainter.backbone import BackboneConfig
-from outpainter.codec import downsample_mask, encode
+from outpainter.codec import decode, downsample_mask, encode
 from outpainter.diffusion import SamplerConfig, make_schedule
 from outpainter.model import OutpaintingModel
 from outpainter.pipeline import (EvalMaskSpec, make_eval_mask, masked_input,
@@ -262,6 +262,34 @@ def test_outpaint_long_overlap_spans_earlier_clips():
             assert (m[:, :, :K] == 1.0).all()
             np.testing.assert_array_equal(z_masked[:, :, :K], want_latents)
             np.testing.assert_array_equal(m[:, :, K:], downsample_mask(M[:, :, a + K:a + 4]))
+
+
+def test_outpaint_long_earliest_clip_wins(monkeypatch):
+    """Plan (11, 5, 3) gives clips [0,5) [2,7) [4,9) [6,11), so frame 4
+    lies in three clips. Clip i's sampled latents decode to the constant
+    level seed + i; every generated pixel of frame f carries the level of
+    the earliest clip covering f, and each clip's condition frames are the
+    returned video's frames a..a+K."""
+    K, seed = 3, 10
+    starts = (0, 2, 4, 6)
+    conditions = []
+
+    def constant_sample(model, z_masked, m, text_embed, config, sched):
+        conditions.append(z_masked[:, :, :K].copy())
+        return encode(np.full(decode(z_masked).shape, config.seed / 255.0))
+
+    monkeypatch.setattr("outpainter.pipeline.sample", constant_sample)
+    video_u8, M = make_long_inputs(S_l=11)
+    cfg = SamplerConfig(steps=2, cfg_scale=1.0, seed=seed)
+    out = outpaint_long(tiny_model(), video_u8, M, S_clip=5, K=K, config=cfg, sched=SCHED,
+                        refine=False)
+    assert len(conditions) == len(starts)
+    generated = M[..., 0] == 0.0
+    for f in range(11):
+        first = next(i for i, a in enumerate(starts) if a <= f < a + 5)
+        np.testing.assert_array_equal(out[:, :, f][generated[:, :, f]], seed + first)
+    for a, z_cond in zip(starts[1:], conditions[1:]):
+        np.testing.assert_array_equal(z_cond, encode(from_u8(out[:, :, a:a + K])))
 
 
 def test_outpaint_long_rejects_float_input():

@@ -366,6 +366,19 @@ def test_parse_train_config_record_refusal_names_its_lines(lines, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("steps = 5\nsteps = 7\n", "lines 1, 2: duplicate key 'steps'"),
+    ("d_model = 32\n# comment\n\nlr = 0.1\nd_model=48\n", "lines 1, 5: duplicate key 'd_model'"),
+    ("beta = 0.5\nseed = 1\nbeta = 0.5\n", "lines 1, 3: duplicate key 'beta'"),
+])
+def test_parse_train_config_refuses_repeated_key(text, message):
+    """A repeated key is refused, even with the same value, rather than the
+    last line silently winning."""
+    with pytest.raises(ValueError) as info:
+        parse_train_config(text)
+    assert str(info.value) == message
+
+
 _BOOL_SPELLINGS = {True: ("1", "true", "Yes", "TRUE"), False: ("0", "false", "No", "FALSE")}
 
 

@@ -7,10 +7,16 @@ Run it from a checkout root, with no arguments:
 
 It imports the package from ./src, runs each command in-process in a fresh
 temporary directory, and prints `sha256  relative/path` for every output
-file (a command's stdout is kept as `<name>.stdout`), then one total line
-over the listing. Two checkouts whose listings are identical produce
-byte-identical CLI outputs on this matrix, so `diff` of two listings is
-the whole comparison.
+file (a command's stdout is kept as `<name>.stdout`). The CLI writes only
+uint8 frames, so a last-bit change in the sampler's float path reaches no
+file unless it flips a level; the tool therefore also loads two of the
+checkpoints the matrix trained, runs `diffusion.sample` on SAMPLES, and
+prints `sha256  sample/<name>.f64` over the float64 bytes of each returned
+latent. These float lines hold at 1 BLAS thread; the 464-token one reads
+differently at 2. One total line over the listing comes last. Two
+checkouts whose listings are identical produce byte-identical CLI outputs
+and sampled latents on this matrix, so `diff` of two listings is the
+whole comparison.
 
 tools/cli_digest.txt holds the listing of the current code, and
 tests/test_cli_digest.py checks a fresh run against it. A change that
@@ -28,7 +34,14 @@ import tempfile
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, os.path.abspath("src"))
 
+import numpy as np  # noqa: E402
+from outpainter.checkpoint import load_model  # noqa: E402
 from outpainter.cli import entry  # noqa: E402
+from outpainter.codec import downsample_mask, encode, masked_input  # noqa: E402
+from outpainter.diffusion import SamplerConfig, make_schedule, sample  # noqa: E402
+from outpainter.frameio import load_frames  # noqa: E402
+from outpainter.pipeline import EvalMaskSpec, make_eval_mask  # noqa: E402
+from outpainter.util import from_u8  # noqa: E402
 
 # config file -> contents; the second sets every architecture key away from
 # its default and the third every loss and optimizer key, so a key the parser
@@ -95,6 +108,14 @@ MATRIX = [
                     "--cfg-scale", "1", "--seed", "13"]),
 ]
 
+# name -> (checkpoint, input sequence, frames used, cfg scale, seed), each
+# sampled for 3 steps at mask ratio 0.25 under no_grad; the second runs a
+# 29-frame, 464-token clip through heads.bin's 12-wide heads
+SAMPLES = {
+    "clip-cfg3": ("model.bin", "clip", 8, 3.0, 14),
+    "long-heads": ("heads.bin", "long", 29, 1.0, 15),
+}
+
 
 def _run(name: str, argv: list) -> None:
     out, err = io.StringIO(), io.StringIO()
@@ -104,6 +125,20 @@ def _run(name: str, argv: list) -> None:
         raise SystemExit(f"{name}: exit {code}: {err.getvalue().strip()}")
     with open(f"{name}.stdout", "w") as f:
         f.write(out.getvalue())
+
+
+def _sample_lines() -> list:
+    lines = []
+    for name, (ckpt, seq, frames, cfg_scale, seed) in SAMPLES.items():
+        model = load_model(ckpt)
+        video = from_u8(load_frames(seq)[:, :, :frames])
+        M = make_eval_mask(EvalMaskSpec(0.25), *video.shape[:3])
+        z0 = sample(model, encode(masked_input(video, M)), downsample_mask(M),
+                    model.text_vector(), SamplerConfig(steps=3, cfg_scale=cfg_scale, seed=seed),
+                    make_schedule())
+        digest = hashlib.sha256(np.ascontiguousarray(z0, dtype=np.float64).tobytes())
+        lines.append(f"{digest.hexdigest()}  sample/{name}.f64")
+    return lines
 
 
 def main() -> None:
@@ -123,12 +158,14 @@ def main() -> None:
                     path = os.path.relpath(os.path.join(root, fn))
                     with open(path, "rb") as f:
                         lines.append(f"{hashlib.sha256(f.read()).hexdigest()}  {path}")
+            samples = _sample_lines()
         finally:
             os.chdir(here)
     lines.sort(key=lambda line: line.split("  ", 1)[1])
-    listing = "\n".join(lines) + "\n"
+    listing = "\n".join(lines + samples) + "\n"
     print(listing, end="")
-    print(f"{hashlib.sha256(listing.encode()).hexdigest()}  total ({len(lines)} files)")
+    print(f"{hashlib.sha256(listing.encode()).hexdigest()}  "
+          f"total ({len(lines)} files, {len(samples)} samples)")
 
 
 if __name__ == "__main__":
