@@ -1,11 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Substrate for every differentiable computation in this package. A Tensor
-wraps a numpy float64 array; operations on tensors that require gradients
-record their parents and a backward rule, forming an implicit tape.
-``backward()`` on a scalar replays the tape in reverse topological order,
-dropping each node's incoming gradient once it has been passed on, and
-stores ``.grad`` on leaves only (tensors created with requires_grad=True).
+wraps a numpy float64 array; an operation on tensors that require
+gradients gives its result a record on an implicit tape. ``backward()`` on
+a scalar replays the tape in reverse topological order, dropping each
+node's incoming gradient once it has been passed on, and stores ``.grad``
+on leaves only (tensors created with requires_grad=True).
 
 Conventions:
     * every operation returns a new array, except ``transpose`` and
@@ -16,6 +16,12 @@ Conventions:
     * gradients accumulate: calling backward twice doubles a leaf's ``.grad``
     * intermediate results never get a ``.grad``; the tape itself is kept,
       so backward can run again over the same graph
+    * the tape links records, not arrays: a record links to its parents'
+      records (a leaf that requires grad is its own link, a parent that
+      needs no gradient has none), and its backward rule keeps only the
+      arrays its gradients read, plus parent shapes and requires_grad
+      flags, never a Tensor; an intermediate's array is freed with its
+      Tensor unless a rule reads it
     * tensors are immutable after creation, except ``.grad``, which
       backward replaces rather than writes into, explicit parameter updates
       performed by an optimizer between backward passes, and
@@ -85,14 +91,13 @@ class Tensor:
     # left defers to Tensor's reflected op, or raises TypeError without one
     __array_ufunc__ = None
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_bw")
+    __slots__ = ("data", "requires_grad", "grad", "_rec")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._bw = None
+        self._rec: _Record | None = None
 
     # ---- introspection -------------------------------------------------
     @property
@@ -123,11 +128,14 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
 
-        # iterative DFS postorder; creation order would also do, but we
-        # only ever see the reachable subgraph this way
-        topo: list[Tensor] = []
+        root = _link(self)
+        if root is None:
+            return
+        # iterative DFS postorder over records and leaves; creation order
+        # would also do, but we only ever see the reachable subgraph this way
+        topo: list[_Record | Tensor] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Record | Tensor, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -137,23 +145,23 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
+            if isinstance(node, _Record):
+                for p in node.parents:
+                    if p is not None and id(p) not in visited:
+                        stack.append((p, False))
 
         # gradient flowing through this call only; a node's entry is
         # complete when reversed postorder reaches it (all its consumers
         # come later in topo), so it is popped there and never held again
-        flow: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        flow: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
         for node in reversed(topo):
             g = flow.pop(id(node), None)
             if g is None:
                 continue
-            if node._bw is None:
-                if node.requires_grad:
-                    node.grad = g if node.grad is None else node.grad + g
+            if isinstance(node, Tensor):
+                node.grad = g if node.grad is None else node.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._bw(g)):
+            for parent, pg in zip(node.parents, node.bw(g)):
                 if pg is None:
                     continue
                 acc = flow.get(id(parent))
@@ -163,53 +171,56 @@ class Tensor:
     def __add__(self, other):
         a, b = self, _coerce(other)
         out = _node(a.data + b.data, (a, b))
-        if out._parents:
-            out._bw = lambda g: (
-                _unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None,
+        if out._rec:
+            ra, rb, sa, sb = a.requires_grad, b.requires_grad, a.shape, b.shape
+            out._rec.bw = lambda g: (
+                _unbroadcast(g, sa) if ra else None,
+                _unbroadcast(g, sb) if rb else None,
             )
         return out
 
     def __sub__(self, other):
         a, b = self, _coerce(other)
         out = _node(a.data - b.data, (a, b))
-        if out._parents:
-            out._bw = lambda g: (
-                _unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        if out._rec:
+            ra, rb, sa, sb = a.requires_grad, b.requires_grad, a.shape, b.shape
+            out._rec.bw = lambda g: (
+                _unbroadcast(g, sa) if ra else None,
+                _unbroadcast(-g, sb) if rb else None,
             )
         return out
 
     def __mul__(self, other):
         a, b = self, _coerce(other)
         out = _node(a.data * b.data, (a, b))
-        if out._parents:
-            ad, bd = a.data, b.data
-            out._bw = lambda g: (
-                _unbroadcast(g * bd, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * ad, b.shape) if b.requires_grad else None,
+        if out._rec:
+            ra, rb, sa, sb = a.requires_grad, b.requires_grad, a.shape, b.shape
+            ad, bd = a.data if rb else None, b.data if ra else None
+            out._rec.bw = lambda g: (
+                _unbroadcast(g * bd, sa) if ra else None,
+                _unbroadcast(g * ad, sb) if rb else None,
             )
         return out
 
     def __truediv__(self, other):
         a, b = self, _coerce(other)
         out = _node(a.data / b.data, (a, b))
-        if out._parents:
-            ad, bd = a.data, b.data
-            out._bw = lambda g: (
-                _unbroadcast(g / bd, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None,
+        if out._rec:
+            ra, rb, sa, sb = a.requires_grad, b.requires_grad, a.shape, b.shape
+            ad, bd = a.data if rb else None, b.data
+            out._rec.bw = lambda g: (
+                _unbroadcast(g / bd, sa) if ra else None,
+                _unbroadcast(-g * ad / (bd * bd), sb) if rb else None,
             )
         return out
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("exponent must be a python scalar")
-        a = self
-        out = _node(a.data**p, (a,))
-        if out._parents:
-            ad = a.data
-            out._bw = lambda g: (g * p * ad ** (p - 1),)
+        out = _node(self.data**p, (self,))
+        if out._rec:
+            ad = self.data
+            out._rec.bw = lambda g: (g * p * ad ** (p - 1),)
         return out
 
     def __rsub__(self, other):
@@ -217,16 +228,22 @@ class Tensor:
 
     def tanh(self):
         out = _node(np.tanh(self.data), (self,))
-        if out._parents:
+        if out._rec:
             y = out.data
-            out._bw = lambda g: (g * (1.0 - y * y),)
+
+            def bw(g):  # g * (1.0 - y * y) in one new buffer
+                t = y * y
+                np.subtract(1.0, t, out=t)
+                return (np.multiply(g, t, out=t),)
+
+            out._rec.bw = bw
         return out
 
     def abs(self):
         out = _node(np.abs(self.data), (self,))
-        if out._parents:
+        if out._rec:
             s = np.sign(self.data)
-            out._bw = lambda g: (g * s,)
+            out._rec.bw = lambda g: (g * s,)
         return out
 
     def clamp(self, lo: float):
@@ -234,9 +251,9 @@ class Tensor:
         lo (the boundary counts as inside) and zero below."""
         x = self.data
         out = _node(np.clip(x, lo, None), (self,))
-        if out._parents:
+        if out._rec:
             inside = x >= lo
-            out._bw = lambda g: (g * inside,)
+            out._rec.bw = lambda g: (g * inside,)
         return out
 
     # ---- linear algebra --------------------------------------------------
@@ -244,38 +261,39 @@ class Tensor:
         a, b = self, _coerce(other)
         _check_matmul(a, b)
         out = _node(a.data @ b.data, (a, b))
-        if out._parents:
-            ad, bd = a.data, b.data
-            out._bw = lambda g: (
-                _unbroadcast(g @ np.swapaxes(bd, -1, -2), a.shape) if a.requires_grad else None,
-                _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b.shape) if b.requires_grad else None,
+        if out._rec:
+            ra, rb, sa, sb = a.requires_grad, b.requires_grad, a.shape, b.shape
+            ad, bd = a.data if rb else None, b.data if ra else None
+            out._rec.bw = lambda g: (
+                _unbroadcast(g @ np.swapaxes(bd, -1, -2), sa) if ra else None,
+                _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb) if rb else None,
             )
         return out
 
     def transpose(self, axes):
         axes = tuple(axes)
         out = _node(self.data.transpose(axes), (self,))
-        if out._parents:
+        if out._rec:
             inv = tuple(np.argsort(axes))
-            out._bw = lambda g: (g.transpose(inv),)
+            out._rec.bw = lambda g: (g.transpose(inv),)
         return out
 
     def reshape(self, shape):
         shape = tuple(shape)
         orig = self.data.shape
         out = _node(self.data.reshape(shape), (self,))
-        if out._parents:
-            out._bw = lambda g: (g.reshape(orig),)
+        if out._rec:
+            out._rec.bw = lambda g: (g.reshape(orig),)
         return out
 
     # ---- reductions --------------------------------------------------------
     def sum(self, axes=None, keepdims: bool = False):
         axes = _normalize_axes(axes, self.ndim)
         out = _node(self.data.sum(axis=axes, keepdims=keepdims), (self,))
-        if out._parents:
+        if out._rec:
             shape = self.data.shape
             kshape = tuple(1 if i in axes else s for i, s in enumerate(shape))
-            out._bw = lambda g: (np.broadcast_to(g.reshape(kshape), shape).copy(),)
+            out._rec.bw = lambda g: (np.broadcast_to(g.reshape(kshape), shape).copy(),)
         return out
 
     def mean(self, axes=None, keepdims: bool = False):
@@ -305,8 +323,8 @@ class Tensor:
         np.exp(y, out=y)
         y /= y.sum(axis=axis, keepdims=True)
         out = _node(y, (self,))
-        if out._parents:
-            out._bw = lambda g: (_softmax_grad(g, y, axis, scale),)
+        if out._rec:
+            out._rec.bw = lambda g: (_softmax_grad(g, y, axis, scale),)
         return out
 
     # ---- indexing / structure ---------------------------------------------
@@ -314,7 +332,7 @@ class Tensor:
         """Gather by flat index; result has the index array's shape."""
         idx = np.asarray(indices, dtype=np.int64)
         out = _node(self.data.reshape(-1)[idx], (self,))
-        if out._parents:
+        if out._rec:
             shape = self.data.shape
 
             def bw(g):
@@ -322,16 +340,16 @@ class Tensor:
                 np.add.at(gx, idx.reshape(-1), g.reshape(-1))
                 return (gx.reshape(shape),)
 
-            out._bw = bw
+            out._rec.bw = bw
         return out
 
     def pad(self, pad_width):
         """Zero padding, pad_width as in numpy.pad."""
         pw = tuple((int(a), int(b)) for a, b in pad_width)
         out = _node(np.pad(self.data, pw), (self,))
-        if out._parents:
+        if out._rec:
             sl = tuple(slice(a, a + s) for (a, _), s in zip(pw, self.data.shape))
-            out._bw = lambda g: (g[sl],)
+            out._rec.bw = lambda g: (g[sl],)
         return out
 
 
@@ -354,11 +372,35 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int, scale: float) -> np.n
     return gx
 
 
+class _Record:
+    """One recorded op: its parents' links, in the op's parent order, and
+    the backward rule mapping the output's gradient to one gradient (or
+    None) per parent."""
+
+    __slots__ = ("parents", "bw")
+
+    def __init__(self, parents: tuple):
+        self.parents = parents
+        self.bw = None
+
+
+def _link(t: Tensor) -> _Record | Tensor | None:
+    """t's node on the tape: its record, t itself for a leaf that requires
+    grad, None for a tensor that needs no gradient."""
+    if t._rec is not None:
+        return t._rec
+    return t if t.requires_grad else None
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
+    """A result Tensor, given a record when grad is enabled and a parent
+    requires grad; the caller then sets the record's ``bw``."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
+    if _grad_enabled:
+        links = tuple(_link(p) for p in parents)
+        if any(link is not None for link in links):
+            out.requires_grad = True
+            out._rec = _Record(links)
     return out
 
 
@@ -366,8 +408,9 @@ def stack(tensors) -> Tensor:
     """Same-shape tensors joined along a new leading axis."""
     ts = [_coerce(t) for t in tensors]
     out = _node(np.stack([t.data for t in ts]), tuple(ts))
-    if out._parents:
-        out._bw = lambda g: tuple(g[i] if t.requires_grad else None for i, t in enumerate(ts))
+    if out._rec:
+        need = [t.requires_grad for t in ts]
+        out._rec.bw = lambda g: tuple(g[i] if r else None for i, r in enumerate(need))
     return out
 
 
@@ -388,12 +431,14 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     y = x.data @ W.data
     y += b.data
     out = _node(y, (x, W, b))
-    if out._parents:
-        xd, wd = x.data, W.data
-        out._bw = lambda g: (
-            _unbroadcast(g @ np.swapaxes(wd, -1, -2), x.shape) if x.requires_grad else None,
-            _unbroadcast(np.swapaxes(xd, -1, -2) @ g, W.shape) if W.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
+    if out._rec:
+        rx, rw, rb = x.requires_grad, W.requires_grad, b.requires_grad
+        sx, sw, sb = x.shape, W.shape, b.shape
+        xd, wd = x.data if rw else None, W.data if rx else None
+        out._rec.bw = lambda g: (
+            _unbroadcast(g @ np.swapaxes(wd, -1, -2), sx) if rx else None,
+            _unbroadcast(np.swapaxes(xd, -1, -2) @ g, sw) if rw else None,
+            _unbroadcast(g, sb) if rb else None,
         )
     return out
 
@@ -414,7 +459,7 @@ def layer_norm(x: Tensor) -> Tensor:
     ve = (d * d).sum(axis=axes, keepdims=True) * inv_n + 1e-5
     r = ve**0.5
     out = _node(d / r, (x, x))
-    if out._parents:
+    if out._rec:
         def bw(g):
             gr = _unbroadcast(-g * d / (r * r), r.shape)
             gdd = gr * 0.5 * ve**-0.5 * inv_n
@@ -426,7 +471,7 @@ def layer_norm(x: Tensor) -> Tensor:
             gmu = _unbroadcast(-gd, r.shape) * inv_n
             return gd, np.broadcast_to(gmu, d.shape).copy()
 
-        out._bw = bw
+        out._rec.bw = bw
     return out
 
 
@@ -466,7 +511,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Te
         Tensor(tile).softmax(axis=-1, scale=scale, reuse_input=True)
         np.matmul(tile, vh[..., h, :, :], out=o[..., h, :])
     out = _node(o.reshape(lead + (L, d)), (q, k, v))
-    if out._parents:
+    if out._rec:
+        rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
+        # keep only what the wanted gradients read: q's reads the keys,
+        # k's the queries, and both read the values
+        qh, kh, vh = qh if rk else None, kh if rq else None, vh if rq or rk else None
+
         def back(gh):  # (..., heads, L, d_head) -> (..., L, d), a new array
             return gh.transpose(swap).reshape(lead + (L, d))
 
@@ -474,15 +524,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Te
             # the composite's order: both products of `@ v`, the softmax
             # rule, both products of `q @ kᵀ`, then back to (..., L, d)
             go = g.reshape(lead + (L, n_heads, dh)).transpose(swap)
-            ga = go @ np.swapaxes(vh, -1, -2) if q.requires_grad or k.requires_grad else None
-            gv = np.swapaxes(p, -1, -2) @ go if v.requires_grad else None
+            ga = go @ np.swapaxes(vh, -1, -2) if rq or rk else None
+            gv = np.swapaxes(p, -1, -2) @ go if rv else None
             gq = gk = None
             if ga is not None:
                 gs = _softmax_grad(ga, p, -1, scale)
-                gq = gs @ kh if q.requires_grad else None
-                if k.requires_grad:
+                gq = gs @ kh if rq else None
+                if rk:
                     gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
             return tuple(None if gh is None else back(gh) for gh in (gq, gk, gv))
 
-        out._bw = bw
+        out._rec.bw = bw
     return out

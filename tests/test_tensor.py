@@ -9,6 +9,7 @@ primitives, kept here as references.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from outpainter.codec import latent_shape
 from outpainter.diffusion import make_schedule
 from outpainter.model import OutpaintingModel
 from outpainter.nn import Linear
-from outpainter.tensor import Tensor, attention, layer_norm, linear, no_grad, reduce_stats
+from outpainter.tensor import (Tensor, _Record, attention, layer_norm, linear, no_grad,
+                               reduce_stats)
 from outpainter.training import (LossConfig, TrainSample, sample_training_mask, synth_video,
                                  training_losses)
 
@@ -323,6 +325,24 @@ def test_backward_frees_intermediate_gradients():
     np.testing.assert_allclose(x.grad, 1.0001 ** 40, rtol=1e-12)
 
 
+def test_tape_frees_what_no_rule_reads():
+    # linear's rule reads its operands and tanh's its output, so nothing
+    # reads the linear output's array once the forward drops its Tensor
+    rng = np.random.default_rng(19)
+    inputs, w = (rand(rng, 4, 3), rand(rng, 3, 5), rand(rng, 5)), rand(rng, 4, 5)
+    x, W, b = (Tensor(a.copy(), requires_grad=True) for a in inputs)
+    h = linear(x, W, b)
+    freed = weakref.ref(h.data)
+    loss = (h.tanh() * w).sum()
+    del h
+    assert freed() is None
+    loss.backward()
+    xr, Wr, br = (Tensor(a.copy(), requires_grad=True) for a in inputs)
+    ((xr @ Wr + br).tanh() * w).sum().backward()
+    for got, want in ((x, xr), (W, Wr), (b, br)):
+        assert same_bits(got.grad, want.grad)
+
+
 def test_diamond_graph_grad():
     # y used twice: d/dx of (x*x + x*x) = 4x
     x = Tensor(np.array([3.0]), requires_grad=True)
@@ -384,14 +404,15 @@ def same_bits(a, b):
 
 
 def op_nodes(out):
-    """Recorded operations reachable from out."""
-    seen, stack, n = set(), [out], 0
+    """Recorded operations reachable from out: the records its own record
+    links to, directly or through other records."""
+    seen, stack, n = set(), [out._rec], 0
     while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen.add(id(t))
-            n += t._bw is not None
-            stack.extend(t._parents)
+        r = stack.pop()
+        if isinstance(r, _Record) and id(r) not in seen:
+            seen.add(id(r))
+            n += 1
+            stack.extend(r.parents)
     return n
 
 
@@ -477,7 +498,7 @@ def test_one_node_layers_under_no_grad(case):
                  (layer_norm(x), composite_layer_norm(x))]
     for got, want in pairs:
         assert same_bits(got.data, want.data)
-        assert not got.requires_grad and got._parents == ()
+        assert not got.requires_grad and got._rec is None
 
 
 @given(attention_cases())
@@ -496,7 +517,7 @@ def test_attention_under_no_grad(case):
         got = qkv_attention(attention, n_heads)(*leaves)
         want = qkv_attention(composite_attention, n_heads)(*leaves)
     assert same_bits(got.data, want.data)
-    assert not got.requires_grad and got._parents == ()
+    assert not got.requires_grad and got._rec is None
 
 
 def test_attention_records_one_node():
@@ -530,13 +551,18 @@ def test_linear_and_layer_norm_record_one_node_each():
     assert op_nodes(layer_norm(x)) == 1
 
 
-def training_step_nodes(t):
-    """Op nodes of one default-size training step at timestep t."""
+def default_training_step(t):
+    """A default-size model and a 16x16x8 training sample at timestep t."""
     rng = np.random.default_rng(0)
     H, W, S = 16, 16, 8
     sample = TrainSample(synth_video(rng, H, W, S), sample_training_mask(H, W, S, rng), t,
                          rng.standard_normal(latent_shape(H, W, S)), False)
-    model = OutpaintingModel(BackboneConfig(), seed=0)
+    return OutpaintingModel(BackboneConfig(), seed=0), sample
+
+
+def training_step_nodes(t):
+    """Op nodes of one default-size training step at timestep t."""
+    model, sample = default_training_step(t)
     total, _, _ = training_losses(model, sample, LossConfig(), make_schedule())
     return op_nodes(total)
 
@@ -549,6 +575,25 @@ def test_default_training_step_tape_size():
 def test_latent_alignment_training_step_tape_size():
     # t < t_latent: the latent-alignment term adds its nodes
     assert training_step_nodes(100) == 188
+
+
+def test_training_step_holds_only_what_backward_reads():
+    # the tape keeps the arrays its rules read, not every intermediate; a
+    # tape that kept them all would hold 10.8 MB here and peak at 13.9 MB
+    model, sample = default_training_step(500)
+    schedule, losses = make_schedule(), LossConfig()
+    training_losses(model, sample, losses, schedule)  # fills the caches
+    tracemalloc.start()
+    try:
+        total, _, _ = training_losses(model, sample, losses, schedule)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        total.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held < 8e6, f"forward left {held / 1e6:.2f} MB on the tape"
+    assert peak < 11e6, f"backward peaked at {peak / 1e6:.2f} MB"
 
 
 def test_backward_twice_doubles_grads_through_one_node_layers():

@@ -30,7 +30,8 @@ import os
 import sys
 import tempfile
 
-# one BLAS thread: the same result on any machine, and faster at these sizes
+# one BLAS thread: the float lines hold only at a fixed thread count (see
+# the docstring), and one thread is faster at these sizes
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, os.path.abspath("src"))
 
