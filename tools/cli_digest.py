@@ -66,6 +66,9 @@ MATRIX = [
     ("synth-mid", ["synth", "--out", "mid", "--shape", "64x96x12", "--seed", "8"]),
     ("synth-mid-template", ["synth", "--out", "mid-template", "--shape", "64x96x3",
                             "--seed", "9"]),
+    ("synth-odd", ["synth", "--out", "odd", "--shape", "63x95x11", "--seed", "16"]),
+    ("synth-odd-template", ["synth", "--out", "odd-template", "--shape", "63x95x3",
+                            "--seed", "17"]),
     ("train", ["train", "--config", "train.cfg", "--out", "model.bin"]),
     ("outpaint-cfg3", ["outpaint", "--model", "model.bin", "--input", "clip",
                        "--out", "out-cfg3", "--mask-ratio", "0.25", "--steps", "20",
@@ -90,6 +93,10 @@ MATRIX = [
     # in the refiner shows in its output
     ("refine-mid", ["refine", "--input", "mid", "--template", "mid-template",
                     "--out", "refined-mid"]),
+    # an odd H*W: the clip's byte count is not a whole number of byte pairs
+    # per channel period, so the refiner's last bytes take its tail path
+    ("refine-odd", ["refine", "--input", "odd", "--template", "odd-template",
+                    "--out", "refined-odd"]),
     ("eval", ["eval", "clip", "out-cfg3"]),
     ("train-arch", ["train", "--config", "arch.cfg", "--out", "arch.bin"]),
     ("outpaint-arch", ["outpaint", "--model", "arch.bin", "--input", "clip",
