@@ -9,7 +9,8 @@ per-channel mean/variance alignment, then 256-bin histogram matching.
 Each stage takes the source and template overlaps as 256-bin Histograms
 and maps each 8-bit level to one level, so the refiner runs both on a
 table of the 256 levels, takes exact integer moments from the
-histograms, and gathers its uint8 clip through the table.
+histograms, and then maps the clip's bytes in the clip's own memory,
+two bytes per lookup.
 """
 
 import math
@@ -170,6 +171,53 @@ def histogram_matching(src: Histogram, tmpl: Histogram, target: np.ndarray) -> n
     return out
 
 
+# byte pairs per lookup chunk: each chunk's intp index buffer is 256 KB
+_CHUNK_PAIRS = 32768
+
+
+def _byte_run(clip: np.ndarray) -> tuple:
+    """(clip, run): run is the clip's memory as one flat writable uint8 view
+    in which byte i belongs to channel i mod C, as in the C and the
+    frame-major layout. A clip whose memory is not such a block (a slice,
+    reversed or channel-major strides, read-only) is first copied into one."""
+    run = np.ravel(clip, order="K")
+    if not (np.may_share_memory(run, clip) and run.flags.writeable
+            and (clip.shape[-1] == 1 or clip.strides[-1] == 1)):
+        clip = clip.copy()
+        run = clip.ravel()
+    return clip, run
+
+
+def _pair_tables(lut: np.ndarray) -> np.ndarray:
+    """The (P, 65536) little-endian uint16 tables that map a byte pair to
+    its two levels under the (256, C) uint8 table lut. Byte pairs repeat
+    their channels every P = C (odd C) or C/2 (even C) pairs; pair phase p
+    holds channels 2p and 2p+1 mod C, and its table is indexed by the pair's
+    value, second byte * 256 + first byte."""
+    C = lut.shape[1]
+    P = C if C % 2 else C // 2
+    col = lut.astype("<u2")
+    tables = np.empty((P, 256, 256), dtype="<u2")
+    for p in range(P):
+        np.bitwise_or.outer(col[:, (2 * p + 1) % C] << 8, col[:, 2 * p % C], out=tables[p])
+    return tables.reshape(P, 65536)
+
+
+def _map_pairs(pairs: np.ndarray, tables: np.ndarray) -> None:
+    """Send column p of the (n, P) byte-pair array through tables[p], in
+    place, a chunk of rows at a time through two preallocated buffers."""
+    idx = np.empty(min(len(pairs), _CHUNK_PAIRS), dtype=np.intp)
+    out = np.empty(len(idx), dtype=tables.dtype)
+    for r in range(0, len(pairs), _CHUNK_PAIRS):
+        block = pairs[r:r + _CHUNK_PAIRS]
+        i, o = idx[:len(block)], out[:len(block)]
+        for p, table in enumerate(tables):
+            np.copyto(i, block[:, p])
+            # the indices cannot leave the table; mode="wrap" skips the check
+            np.take(table, i, out=o, mode="wrap")
+            block[:, p] = o
+
+
 def refine_clip(clip: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Match a clip's colors to the previous clip via the K-frame overlap.
 
@@ -177,24 +225,31 @@ def refine_clip(clip: np.ndarray, template: np.ndarray) -> np.ndarray:
     count. Both stages take Histograms: the template's, and as source the
     histogram of the clip's own first K frames, pushed through the first
     stage's table before the second so the histogram step sees what it
-    will actually transform. Both run on a (256, C) table of levels; the
-    clip is then gathered through the table one frame plane at a time into
-    a frame-major uint8 buffer, whose (H, W, S, C) view is returned.
+    will actually transform. Both run on a (256, C) table of levels.
+
+    The clip is then mapped in place: its memory, as one flat byte run,
+    goes through per-phase byte-pair tables, and its last bytes short of a
+    whole period go through the same tables from a zero-padded scratch.
+    A uint8 clip in C or frame-major layout is overwritten and returned;
+    any other clip is first copied (to uint8, or into one C-ordered block)
+    and the refined copy is returned, the caller's array left as it was.
     """
     K = template.shape[2]
     if not 0 < K < clip.shape[2]:
         raise ValueError(f"template has {K} frames, need 0 < K < clip length {clip.shape[2]}")
     clip = _check_u8_values("clip", clip)
     src, tmpl = Histogram.of("clip", clip[:, :, :K]), Histogram.of("template", template)
-    H, W, S, C = clip.shape
+    C = clip.shape[-1]
     levels = np.repeat(np.arange(256.0)[:, None], C, axis=1)
     lut = quantize_u8(mean_variance_alignment(src, tmpl, levels))
     lut = histogram_matching(src.mapped(lut), tmpl, lut)
-    frames = np.empty((S, H, W, C), dtype=np.uint8)
-    # uint8 indices cannot leave the table, and mode="wrap" lets take write
-    # the strided channel plane directly instead of through a buffer
-    for s in range(S):
-        for c in range(C):
-            np.take(lut[:, c], clip[:, :, s, c], out=frames[s, :, :, c], mode="wrap")
-    return frames.transpose(1, 2, 0, 3)
-
+    tables = _pair_tables(lut)
+    P = len(tables)
+    clip, run = _byte_run(clip)
+    whole = run.size - run.size % (2 * P)
+    _map_pairs(run[:whole].view("<u2").reshape(-1, P), tables)
+    rest, scratch = run[whole:], np.zeros(2 * P, dtype=np.uint8)
+    scratch[:rest.size] = rest
+    _map_pairs(scratch.view("<u2").reshape(1, P), tables)
+    rest[:] = scratch[:rest.size]
+    return clip

@@ -313,7 +313,7 @@ def test_refine_clip_idempotent_up_to_rounding():
         clip = rng.integers(0, 256, size=(4, 4, 6, 3))
         tmpl = rng.integers(0, 256, size=(4, 4, 2, 3))
         once = refine_clip(clip, tmpl)
-        twice = refine_clip(once, tmpl)
+        twice = refine_clip(once.copy(), tmpl)  # refine_clip overwrites a uint8 clip
         assert np.abs(twice.astype(int) - once.astype(int)).max() <= 1, f"trial {trial}"
 
 
@@ -343,11 +343,12 @@ def test_refine_clip_stage_toggles():
 def refine_cases(draw):
     """A uint8 clip, a K-frame template and K. Each channel's values lie in
     a drawn band, so a narrow clip band against a wide template band drives
-    the alignment past 0 and 255, and a one-level band is a constant channel."""
+    the alignment past 0 and 255, and a one-level band is a constant channel.
+    C = 4 is an even channel count with two byte-pair phases."""
     H, W = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     S = draw(st.integers(2, 7))
     K = draw(st.integers(1, S - 1))
-    C = draw(st.integers(1, 3))
+    C = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
 
@@ -362,7 +363,22 @@ def refine_cases(draw):
     return banded(S), banded(K), K
 
 
+def with_tail_examples(test):
+    """test with an explicit refine case for every channel count 1..4 and
+    every tail the refiner's byte pairs can leave. A clip's byte count is
+    H*W*S*C and its pair period 2C (odd C) or C (even C), so the bytes left
+    past the last whole period are 0, or C for odd C and odd H*W*S; the odd
+    cases have odd H*W."""
+    rng = np.random.default_rng(18)
+    for C in range(1, 5):
+        for H, W, S in ((2, 3, 4), (3, 5, 7)):
+            test = example((rng.integers(0, 256, (H, W, S, C), dtype=np.uint8),
+                            rng.integers(0, 256, (H, W, 2, C), dtype=np.uint8), 2))(test)
+    return test
+
+
 @given(refine_cases())
+@with_tail_examples
 @example((np.array([[[[0, 9, 250], [255, 9, 0], [128, 9, 3]]]], dtype=np.uint8),
           np.array([[[[90, 200, 0]]]], dtype=np.uint8), 1))
 @example((np.array([[[[100, 7], [101, 7], [0, 7], [255, 8]]],
@@ -386,9 +402,10 @@ def frame_major(a):
 
 
 @given(refine_cases())
+@with_tail_examples
 def test_refine_clip_same_bytes_for_any_layout(case):
     clip, tmpl, K = case
-    want = refine_clip(clip, tmpl)
+    want = refine_clip(clip.copy(), tmpl)
     got = refine_clip(frame_major(clip), frame_major(tmpl))
     assert got.tobytes(order="C") == want.tobytes(order="C")
 
@@ -426,18 +443,45 @@ def test_histogram_moments_are_exact():
 
 
 def test_refine_clip_memory_is_a_few_clips():
-    # the stages run on (256, C) tables; only the output and the K overlap
-    # frames' statistics scale with the clip
+    # the stages run on (256, C) tables and the clip is mapped in place, so
+    # only the K overlap frames' statistics scale with the clip; the byte-pair
+    # tables and chunk buffers are a fixed 0.6 MB, which the small clip's
+    # bound covers
     rng = np.random.default_rng(16)
-    clip = rng.integers(0, 256, size=(64, 64, 29, 3), dtype=np.uint8)
-    tmpl = rng.integers(0, 256, size=(64, 64, 3, 3), dtype=np.uint8)
-    tracemalloc.start()
-    try:
-        refine_clip(clip, tmpl)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * clip.nbytes, f"peak {peak / clip.nbytes:.1f}x the clip's bytes"
+    for H, W, bound in ((64, 64, 8.0), (240, 320, 0.5)):
+        clip = rng.integers(0, 256, size=(H, W, 29, 3), dtype=np.uint8)
+        tmpl = rng.integers(0, 256, size=(H, W, 3, 3), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            refine_clip(clip, tmpl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * clip.nbytes, \
+            f"{H}x{W}: peak {peak / clip.nbytes:.2f}x the clip's bytes"
+
+
+def test_refine_clip_maps_a_uint8_clip_in_place():
+    rng = np.random.default_rng(19)
+    clip = rng.integers(0, 256, size=(5, 7, 6, 3), dtype=np.uint8)
+    tmpl = rng.integers(0, 256, size=(5, 7, 2, 3), dtype=np.uint8)
+    want = refine_clip(clip.astype(np.int64), tmpl)
+    # the C and the frame-major layout are overwritten and returned
+    for layout in (np.copy, frame_major):
+        own = layout(clip)
+        assert refine_clip(own, tmpl) is own
+        np.testing.assert_array_equal(own, want)
+    # any other clip is left as it was: another dtype, a slice, channel-major
+    # strides, a read-only array
+    doubled = np.repeat(clip, 2, axis=2)
+    read_only = clip.copy()
+    read_only.flags.writeable = False
+    channel_major = np.ascontiguousarray(clip.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+    for other in (clip.astype(np.int64), doubled[:, :, ::2], channel_major, read_only):
+        before = other.copy()
+        got = refine_clip(other, tmpl)
+        np.testing.assert_array_equal(other, before)
+        np.testing.assert_array_equal(got, refine_clip(clip.copy(), tmpl))
 
 
 def test_refine_clip_validation():
