@@ -180,12 +180,14 @@ def _byte_run(clip: np.ndarray) -> tuple:
     in which byte i belongs to channel i mod C, as in the C and the
     frame-major layout. A clip whose memory is not such a block (a slice,
     reversed or channel-major strides, read-only) is first copied into one."""
-    run = np.ravel(clip, order="K")
-    if not (np.may_share_memory(run, clip) and run.flags.writeable
-            and (clip.shape[-1] == 1 or clip.strides[-1] == 1)):
-        clip = clip.copy()
-        run = clip.ravel()
-    return clip, run
+    # dense: the strides, sorted, step through one gapless block of bytes
+    dense, step = True, 1
+    for stride, n in sorted((s, n) for s, n in zip(clip.strides, clip.shape) if n > 1):
+        dense, step = dense and stride == step, step * n
+    if dense and clip.flags.writeable and (clip.shape[-1] == 1 or clip.strides[-1] == 1):
+        return clip, np.ravel(clip, order="K")
+    clip = clip.copy()  # C order, writable: a read-only C-ordered clip is copied too
+    return clip, clip.ravel()
 
 
 def _pair_tables(lut: np.ndarray) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 Run it from a checkout root:
 
-    python tools/abbench.py BASE CHANGE --number N [--pairs 10] [--seed 61]
-        [--seconds 20] [--workloads refine-io,train] [--trace]
+    python tools/abbench.py BASE CHANGE --number N [--pairs 10] [--seed 61] [--trace]
 
 BASE and CHANGE are git revisions. Each is extracted with `git archive`
 into a fresh temporary directory, at paths of equal length, so that the
@@ -21,12 +20,14 @@ threads, numpy and OpenBLAS versions, and the load average before and
 after. The workloads, metrics, bounds and run length come from
 BENCHMARK.json.
 
-The claim rule, printed per metric as "met" or "unresolved": CHANGE is
-better than BASE in at least nine tenths of the pairs (ties count for
-neither), and the medians differ, in CHANGE's favour, by more than the
-distance between BASE's quartiles. Separately, "within bound" says that
-CHANGE's median is no worse than BASE's by more than the metric's bound
-from BENCHMARK.json, as a fraction of BASE's median.
+The claim rule, printed per metric as "met", "not met" or "unresolved":
+a claim is "not met" if any CHANGE run is not correct, if CHANGE's runs
+fail more operations in total than BASE's, or if CHANGE is better than
+BASE in fewer than nine tenths of the pairs (ties count for neither). It
+is "unresolved" if the medians differ, in CHANGE's favour, by no more than
+the distance between BASE's quartiles, and "met" otherwise. Separately,
+"within bound" says that CHANGE's median is no worse than BASE's by more
+than the metric's bound from BENCHMARK.json, as a fraction of BASE's median.
 """
 
 import argparse
@@ -49,8 +50,6 @@ def parse_args():
     p.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1, help="first seed; one seed per pair")
-    p.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
-    p.add_argument("--workloads", help="comma-separated (default: BENCHMARK.json's)")
     p.add_argument("--trace", action="store_true",
                    help="also one traced run per side and workload at the first seed")
     return p.parse_args()
@@ -91,17 +90,24 @@ def spread(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def judge(spec: dict, base: list, change: list) -> dict:
-    """The claim rule and the bound check for one metric over the pairs."""
+def judge(spec: dict, name: str, base_runs: list, change_runs: list) -> dict:
+    """The claim rule and the bound check for metric `name` over the pairs."""
+    base = [r["metrics"][name] for r in base_runs]
+    change = [r["metrics"][name] for r in change_runs]
     sign = 1.0 if spec["better"] == "higher" else -1.0
     wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     losses = sum(sign * (c - b) < 0 for b, c in zip(base, change))
     sb, sc = spread(base), spread(change)
     gain = sign * (sc["median"] - sb["median"])
-    met = wins >= math.ceil(0.9 * len(base)) and gain > sb["q3"] - sb["q1"]
+    if (not all(r["correct"] for r in change_runs)
+            or sum(r["failed"] for r in change_runs) > sum(r["failed"] for r in base_runs)
+            or wins < math.ceil(0.9 * len(base))):
+        claim = "not met"
+    else:
+        claim = "met" if gain > sb["q3"] - sb["q1"] else "unresolved"
     within = -gain <= spec["bound"] * abs(sb["median"])
     return {"base": sb, "change": sc, "change_wins": wins, "change_losses": losses,
-            "claim": "met" if met else "unresolved", "within_bound": within}
+            "claim": claim, "within_bound": within}
 
 
 def machine() -> dict:
@@ -122,9 +128,8 @@ def main() -> int:
     repo = os.getcwd()
     with open(os.path.join(repo, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     specs = {m["name"]: m for m in bench["end_to_end"]}
     seeds = list(range(args.seed, args.seed + args.pairs))
     out = {"machine": machine(), "run_seconds": seconds, "seeds": seeds,
@@ -149,12 +154,10 @@ def main() -> int:
                           flush=True)
             entry = {"runs": runs, "metrics": {}}
             for name in list(specs) + list(EXTRA):
-                base = [r["metrics"][name] for r in runs["base"]]
-                change = [r["metrics"][name] for r in runs["change"]]
-                if None in base or None in change:
+                if any(r["metrics"][name] is None for r in runs["base"] + runs["change"]):
                     continue
                 spec = specs.get(name, {"better": "lower", "bound": math.inf})
-                entry["metrics"][name] = judge(spec, base, change)
+                entry["metrics"][name] = judge(spec, name, runs["base"], runs["change"])
             if args.trace:
                 traced = {side: run_once(roots[side], wl, seeds[0], seconds, trace=True)
                           for side in ("base", "change")}
