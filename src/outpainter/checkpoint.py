@@ -21,17 +21,24 @@ import numpy as np
 
 from .backbone import BackboneConfig
 from .model import OutpaintingModel
+from .util import create_output
 
 
 def save_arrays(path: str, named) -> None:
     """Write name -> array pairs (dict or pair iterable).
 
-    Names must be non-empty ASCII without whitespace, and unique.
+    Names must be non-empty ASCII without whitespace, and unique. Each
+    array is written straight from its own memory after the manifest. The
+    file replaces whatever is at path rather than rewriting it
+    (`util.create_output`): a hard link to an old checkpoint keeps the old
+    bytes and a symlink at path is replaced, not followed. ext4 writes a
+    truncated and rewritten file back to disk when it closes, but leaves a
+    new one to the kernel's flusher.
     """
     items = named.items() if isinstance(named, dict) else named
     seen = set()
     lines = []
-    blobs = []
+    arrays = []
     offset = 0
     for name, arr in items:
         if not name or not name.isascii() or any(c.isspace() for c in name):
@@ -42,14 +49,14 @@ def save_arrays(path: str, named) -> None:
         a = np.asarray(arr, dtype="<f8")
         shape = ",".join(str(d) for d in a.shape) if a.ndim else "-"
         lines.append(f"{name} {shape} {offset}")
-        blobs.append(a.tobytes())
+        arrays.append(a)
         offset += a.nbytes
     manifest = ("\n".join(lines) + "\n").encode("ascii")
-    with open(path, "wb") as f:
+    with create_output(path) as f:
         f.write(f"{len(manifest)}\n".encode("ascii"))
         f.write(manifest)
-        for b in blobs:
-            f.write(b)
+        for a in arrays:
+            f.write(np.ascontiguousarray(a))
 
 
 def load_arrays(path: str) -> dict:

@@ -7,12 +7,22 @@ and no other. Pixels are 8-bit RGB; arrays are (H, W, S, 3) uint8.
 buffer, so each frame is one contiguous block that a file's pixel body is
 copied into, and saving such a view writes each frame without gathering
 it.
+
+Saving replaces each frame file and the manifest rather than rewriting
+them (`util.create_output`): a hard link to an old frame keeps the old
+bytes, a symlink at a frame's name becomes a regular file and its target
+is left alone, and a directory there is an error. Truncating and
+rewriting a file makes ext4 write it back to disk when it closes, inside
+the save; a new file is written back later by the kernel. On tmpfs the
+unlink costs about 10 us per file.
 """
 
 import os
 import re
 
 import numpy as np
+
+from .util import create_output
 
 MANIFEST = "manifest.txt"
 # netpbm header: magic, then width, height and maxval, each after whitespace
@@ -33,7 +43,7 @@ def save_ppm(path: str, frame: np.ndarray) -> None:
     if frame.dtype != np.uint8:
         raise ValueError(f"expected uint8 pixels, got {frame.dtype}")
     H, W, _ = frame.shape
-    with open(path, "wb") as f:
+    with create_output(path) as f:
         f.write(f"P6\n{W} {H}\n255\n".encode("ascii"))
         f.write(np.ascontiguousarray(frame))
 
@@ -75,8 +85,8 @@ def save_frames(directory: str, video: np.ndarray) -> None:
     os.makedirs(directory, exist_ok=True)
     for s in range(S):
         save_ppm(os.path.join(directory, frame_name(s)), video[:, :, s])
-    with open(os.path.join(directory, MANIFEST), "w") as f:
-        f.write(f"frames={S} width={W} height={H}\n")
+    with create_output(os.path.join(directory, MANIFEST)) as f:
+        f.write(f"frames={S} width={W} height={H}\n".encode("ascii"))
 
 
 def load_frames(directory: str) -> np.ndarray:

@@ -81,6 +81,9 @@ def _check_u8_values(name: str, a: np.ndarray) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
+_HIST_CHUNK = 1 << 16  # values per bincount call in Histogram.of
+
+
 @dataclass(frozen=True)
 class Histogram:
     """Per-channel counts of 8-bit values: counts[v, c] is how often level
@@ -90,8 +93,14 @@ class Histogram:
     @classmethod
     def of(cls, name: str, values: np.ndarray) -> "Histogram":
         arr = _check_u8_values(name, values)
-        return cls(np.stack([np.bincount(arr[..., c].ravel(order="K"), minlength=256)
-                             for c in range(arr.shape[-1])], axis=1))
+        counts = np.zeros((256, arr.shape[-1]), dtype=np.int64)
+        for c in range(arr.shape[-1]):
+            # bincount widens its input to intp, so it sees one bounded chunk
+            # of the plane at a time, in any layout, not the whole plane
+            for chunk in np.nditer(arr[..., c], flags=["external_loop", "buffered"],
+                                   buffersize=_HIST_CHUNK):
+                counts[:, c] += np.bincount(chunk, minlength=256)
+        return cls(counts)
 
     def mapped(self, lut: np.ndarray) -> "Histogram":
         """The histogram of the same values after level v of channel c

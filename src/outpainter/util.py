@@ -1,5 +1,7 @@
 """Small shared helpers."""
 
+import os
+
 import numpy as np
 
 
@@ -37,3 +39,19 @@ def parse_shape(text: str) -> tuple:
     if len(dims) != 3 or min(dims) < 1:
         raise ValueError(f"shape must be HxWxS with positive sizes, got {text!r}")
     return dims
+
+
+def create_output(path: str):
+    """Open a new file at path for binary writing, in place of any file there.
+
+    Whatever is at path is unlinked, then the file is created exclusively:
+    an old file is never truncated and rewritten, which ext4 writes back to
+    disk when it closes. A hard link to the old file keeps its bytes, a
+    symlink at path is replaced rather than followed, and a directory there
+    raises IsADirectoryError.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "xb")

@@ -1,7 +1,9 @@
 """Checkpoint serialization round trips and error handling."""
 
 import hashlib
+import os
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -98,6 +100,43 @@ def test_default_parameter_manifest_is_pinned():
     listing = "".join(f"{name} {','.join(map(str, p.shape))}\n" for name, p in named)
     assert hashlib.sha256(listing.encode()).hexdigest() == (
         "141ca18c0430ddaa5fb69b3188e559e2737918dc4365dc6a8531b931e3d280ce")
+
+
+def test_save_writes_each_array_without_a_copy(tmp_path):
+    model = OutpaintingModel(BackboneConfig())
+    path = tmp_path / "model.bin"
+    save_model(str(path), model)
+    # the layout written by joining each array's bytes after the manifest
+    named = [(f"meta/{f.name}", np.float64(getattr(model.cfg, f.name)))
+             for f in fields(BackboneConfig)]
+    named += [(name, p.data) for name, p in model.named_params()]
+    lines, offset = [], 0
+    for name, a in named:
+        a = np.asarray(a, dtype="<f8")
+        lines.append(f"{name} {','.join(map(str, a.shape)) if a.ndim else '-'} {offset}")
+        offset += a.nbytes
+    manifest = ("\n".join(lines) + "\n").encode("ascii")
+    want = (f"{len(manifest)}\n".encode("ascii") + manifest
+            + b"".join(np.asarray(a, dtype="<f8").tobytes() for _, a in named))
+    assert path.read_bytes() == want
+    tracemalloc.start()
+    try:
+        save_model(str(path), model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2e6, f"save peak {peak / 1e6:.2f} MB"
+    assert path.read_bytes() == want
+
+
+def test_save_replaces_a_hard_linked_checkpoint(tmp_path):
+    path = tmp_path / "model.bin"
+    save_arrays(str(path), {"a": np.zeros(3)})
+    old = path.read_bytes()
+    os.link(path, tmp_path / "kept.bin")
+    save_arrays(str(path), {"a": np.ones(3), "b": np.ones(2)})
+    assert (tmp_path / "kept.bin").read_bytes() == old
+    assert list(load_arrays(str(path))) == ["a", "b"]
 
 
 def test_loaded_model_same_prediction(tmp_path):

@@ -120,6 +120,19 @@ def test_refine_matches_library_call(tmp_path):
     np.testing.assert_array_equal(load_frames(str(out)), want.astype(np.uint8))
 
 
+def test_refine_onto_a_directory_at_a_frame_name_is_one_line_exit_2(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    save_frames(str(tmp_path / "clip"), rng.integers(0, 256, (4, 4, 3, 3), dtype=np.uint8))
+    save_frames(str(tmp_path / "tmpl"), rng.integers(0, 256, (4, 4, 1, 3), dtype=np.uint8))
+    (tmp_path / "out" / "frame_00001.ppm").mkdir(parents=True)
+    code = entry(["refine", "--input", str(tmp_path / "clip"),
+                  "--template", str(tmp_path / "tmpl"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "frame_00001.ppm" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_train_writes_loadable_checkpoint(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("shape=8x8x2\nsteps=3\nlr=1e-3\n"

@@ -168,6 +168,42 @@ def test_non_uint8_save_rejected(tmp_path):
         save_frames(str(tmp_path / "x"), np.zeros((4, 4, 2, 3)))
 
 
+def test_saving_replaces_a_hard_linked_frame(tmp_path):
+    # a save makes a new file at the name; it does not rewrite the old one
+    d = tmp_path / "seq"
+    save_frames(str(d), np.zeros((4, 5, 2, 3), dtype=np.uint8))
+    old = (d / "frame_00001.ppm").read_bytes()
+    os.link(d / "frame_00001.ppm", tmp_path / "kept.ppm")
+    save_frames(str(d), np.full((4, 5, 2, 3), 200, dtype=np.uint8))
+    assert (tmp_path / "kept.ppm").read_bytes() == old
+    assert load_frames(str(d)).min() == 200
+
+
+def test_symlink_at_frame_name_is_replaced_and_its_target_kept(tmp_path):
+    target = tmp_path / "target.ppm"
+    target.write_bytes(b"not a frame")
+    d = tmp_path / "seq"
+    d.mkdir()
+    (d / "frame_00000.ppm").symlink_to(target)
+    video = np.arange(4 * 5 * 3, dtype=np.uint8).reshape(4, 5, 1, 3)
+    save_frames(str(d), video)
+    assert not (d / "frame_00000.ppm").is_symlink()
+    assert target.read_bytes() == b"not a frame"
+    np.testing.assert_array_equal(load_frames(str(d)), video)
+
+
+def test_saving_over_a_longer_sequence_reads_back_like_a_fresh_one(tmp_path):
+    rng = np.random.default_rng(4)
+    save_frames(str(tmp_path / "seq"), rng.integers(0, 256, (6, 7, 9, 3), dtype=np.uint8))
+    video = rng.integers(0, 256, (5, 4, 3, 3), dtype=np.uint8)
+    save_frames(str(tmp_path / "seq"), video)
+    save_frames(str(tmp_path / "fresh"), video)
+    np.testing.assert_array_equal(load_frames(str(tmp_path / "seq")),
+                                  load_frames(str(tmp_path / "fresh")))
+    for name in os.listdir(tmp_path / "fresh"):
+        assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 # ---- P6 parser properties ------------------------------------------------------
 
 frames = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(

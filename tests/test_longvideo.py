@@ -431,6 +431,39 @@ def test_mapped_histogram_is_bincount_of_mapped_values(case, seed):
     np.testing.assert_array_equal(Histogram.of("clip", clip[:, :, :K]).mapped(lut).counts, want)
 
 
+@pytest.mark.parametrize("shape, view", [
+    ((9, 7, 3, 2), lambda a: a),
+    ((1, 1, 1, 1), lambda a: a),
+    # more values per plane than one bincount chunk, in an odd count
+    ((257, 259, 1, 3), lambda a: a),
+    ((257, 259, 1, 3), frame_major),
+    ((31, 45, 4, 3), lambda a: a[::2, 1::3, ::-1]),
+    ((12, 10, 5, 4), lambda a: a.transpose(1, 0, 2, 3)[:, 3:]),
+])
+def test_histogram_counts_equal_per_plane_bincount(shape, view):
+    values = view(np.random.default_rng(21).integers(0, 256, shape, dtype=np.uint8))
+    counts = Histogram.of("values", values).counts
+    assert counts.dtype == np.int64
+    for c in range(values.shape[-1]):
+        np.testing.assert_array_equal(
+            counts[:, c], np.bincount(values[..., c].ravel(), minlength=256))
+
+
+def test_histogram_memory_is_bounded_by_its_chunk():
+    # refine-io's overlap: 3 frames of 240x320; counting a whole plane at once
+    # widened it to 8-byte ints, 1.8 MB
+    values = np.random.default_rng(22).integers(0, 256, (240, 320, 3, 3), dtype=np.uint8)
+    for layout in (np.copy, frame_major):
+        v = layout(values)
+        tracemalloc.start()
+        try:
+            Histogram.of("values", v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.7e6, f"peak {peak / 1e6:.2f} MB"
+
+
 def test_histogram_moments_are_exact():
     # mean = S1/N and variance = (N*S2 - S1^2)/N^2, rounded once
     rng = np.random.default_rng(17)

@@ -14,7 +14,8 @@ With --trace, one more traced run per side and workload, at the first
 seed, gives calls/op and self ms/op per span, and the calls are compared.
 
 BENCH_<number>.json, at the repository root, holds every run's end-to-end
-metrics with `ops_start_rss_mb` and `setup_peak_rss_mb`, each metric's
+metrics with `ops_start_rss_mb`, `setup_peak_rss_mb` and
+`peak_minus_start_rss_mb` (the operations' own memory growth), each metric's
 median, quartiles and win count per side, and the machine: nproc, BLAS
 threads, numpy and OpenBLAS versions, and the load average before and
 after. The workloads, metrics, bounds and run length come from
@@ -41,6 +42,9 @@ import sys
 import tempfile
 
 EXTRA = ("ops_start_rss_mb", "setup_peak_rss_mb")  # from run.py's summary line
+# peak_rss_mb - ops_start_rss_mb: the operations' own growth, apart from
+# set-up's heap, which the timed child inherits and whose layout moves RSS
+GROWTH = "peak_minus_start_rss_mb"
 
 
 def parse_args():
@@ -78,6 +82,7 @@ def run_once(root: str, workload: str, seed: int, seconds: float, trace: bool) -
                    if line.startswith("summary "))
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     metrics.update((k, summary[k]) for k in EXTRA)
+    metrics[GROWTH] = metrics["peak_rss_mb"] - metrics["ops_start_rss_mb"]
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "metrics": metrics,
             "blas_threads": summary["blas_threads"], "numpy": summary["numpy"]}
@@ -108,6 +113,18 @@ def judge(spec: dict, name: str, base_runs: list, change_runs: list) -> dict:
     within = -gain <= spec["bound"] * abs(sb["median"])
     return {"base": sb, "change": sc, "change_wins": wins, "change_losses": losses,
             "claim": claim, "within_bound": within}
+
+
+def judge_all(specs: dict, base_runs: list, change_runs: list) -> dict:
+    """judge() per end-to-end metric and per extra field, the extras lower
+    is better with no bound; a metric that some run lacks is left out."""
+    verdicts = {}
+    for name in [*specs, *EXTRA, GROWTH]:
+        if any(r["metrics"][name] is None for r in base_runs + change_runs):
+            continue
+        spec = specs.get(name, {"better": "lower", "bound": math.inf})
+        verdicts[name] = judge(spec, name, base_runs, change_runs)
+    return verdicts
 
 
 def machine() -> dict:
@@ -152,12 +169,7 @@ def main() -> int:
                                       if r["metrics"].get(k) is not None)
                     print(f"{wl} seed {seed} {side}: {shown}, correct {r['correct']}",
                           flush=True)
-            entry = {"runs": runs, "metrics": {}}
-            for name in list(specs) + list(EXTRA):
-                if any(r["metrics"][name] is None for r in runs["base"] + runs["change"]):
-                    continue
-                spec = specs.get(name, {"better": "lower", "bound": math.inf})
-                entry["metrics"][name] = judge(spec, name, runs["base"], runs["change"])
+            entry = {"runs": runs, "metrics": judge_all(specs, runs["base"], runs["change"])}
             if args.trace:
                 traced = {side: run_once(roots[side], wl, seeds[0], seconds, trace=True)
                           for side in ("base", "change")}
