@@ -66,6 +66,12 @@ def test_run_once_records_the_operations_memory_growth(monkeypatch):
     run = abbench.run_once(".", "refine-io", 1, 1.0, trace=False)
     assert run["metrics"]["peak_minus_start_rss_mb"] == pytest.approx(6.25)
     assert run["metrics"]["ops_start_rss_mb"] == 40.5
+    # a traced run has no end-to-end memory figure, so no growth either
+    del result["metrics"]["peak_rss_mb"]
+    stdout = f"summary {json.dumps(summary)}\n{json.dumps(result)}\n"
+    monkeypatch.setattr(abbench.subprocess, "run", fake_run(stdout))
+    assert "peak_minus_start_rss_mb" not in abbench.run_once(".", "refine-io", 1, 1.0,
+                                                             trace=True)["metrics"]
 
 
 def test_memory_growth_is_judged_lower_better_without_bound():

@@ -82,7 +82,8 @@ def run_once(root: str, workload: str, seed: int, seconds: float, trace: bool) -
                    if line.startswith("summary "))
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     metrics.update((k, summary[k]) for k in EXTRA)
-    metrics[GROWTH] = metrics["peak_rss_mb"] - metrics["ops_start_rss_mb"]
+    if "peak_rss_mb" in metrics:  # a traced run reports per-span figures instead
+        metrics[GROWTH] = metrics["peak_rss_mb"] - metrics["ops_start_rss_mb"]
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "metrics": metrics,
             "blas_threads": summary["blas_threads"], "numpy": summary["numpy"]}
