@@ -42,8 +42,8 @@ import sys
 import tempfile
 
 EXTRA = ("ops_start_rss_mb", "setup_peak_rss_mb")  # from run.py's summary line
-# peak_rss_mb - ops_start_rss_mb: the operations' own growth, apart from
-# set-up's heap, which the timed child inherits and whose layout moves RSS
+# peak_rss_mb - ops_start_rss_mb: what the timed operations added to the
+# memory the child inherited from set-up
 GROWTH = "peak_minus_start_rss_mb"
 
 
