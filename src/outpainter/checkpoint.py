@@ -11,7 +11,8 @@ file does.
 Checkpoints are self-describing: model files start with one `meta/<field>`
 scalar per BackboneConfig field, in declaration order, so loading needs no
 side channel. Each must be a finite scalar, and an integral one where the
-field is an integer.
+field is an integer. `load_model` refuses a weight holding NaN or inf;
+`load_arrays` checks the format only.
 """
 
 import math
@@ -148,5 +149,7 @@ def load_model(path: str) -> OutpaintingModel:
         if params[name].data.shape != arr.shape:
             raise ValueError(f"{path}: {name} has shape {arr.shape}, "
                              f"expected {params[name].data.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: {name} holds non-finite values")
         params[name].data = arr
     return model

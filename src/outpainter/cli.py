@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .checkpoint import load_model, save_model
-from .diffusion import SamplerConfig, make_schedule
+from .diffusion import SamplerConfig
 from .errors import NumericalError
 from .frameio import load_frames, save_frames
 from .longvideo import refine_clip
@@ -33,6 +33,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """The type of every --seed: numpy's generators take no negative seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_outpaint_flags(p):
     """The flags `outpaint` and `outpaint-long` share."""
     p.add_argument("--model", required=True)
@@ -41,7 +52,7 @@ def _add_outpaint_flags(p):
     p.add_argument("--mask-ratio", type=float, required=True)
     p.add_argument("--direction", choices=("horizontal", "vertical"),
                    default=EvalMaskSpec.direction)
-    p.add_argument("--seed", type=int, default=SamplerConfig.seed)
+    p.add_argument("--seed", type=_seed, default=SamplerConfig.seed)
     p.add_argument("--steps", type=int, default=SamplerConfig.steps)
     p.add_argument("--cfg-scale", type=float, default=SamplerConfig.cfg_scale)
 
@@ -53,7 +64,7 @@ def _build_parser() -> _Parser:
     t = sub.add_parser("train", help="train a model from a key=value config")
     t.add_argument("--config", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=_seed, default=None)
     t.add_argument("--quiet", action="store_true")
 
     _add_outpaint_flags(sub.add_parser("outpaint", help="outpaint one clip"))
@@ -76,7 +87,7 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("synth", help="generate a synthetic moving-rectangle sequence")
     s.add_argument("--out", required=True)
     s.add_argument("--shape", default="16x16x8")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     return p
 
 
@@ -101,14 +112,14 @@ def _load_model_and_mask(args):
 
 def _cmd_outpaint(args) -> None:
     model, video_u8, M, config = _load_model_and_mask(args)
-    out = outpaint_video(model, from_u8(video_u8), M, config, make_schedule())
+    out = outpaint_video(model, from_u8(video_u8), M, config)
     save_frames(args.out, to_u8(out))
 
 
 def _cmd_outpaint_long(args) -> None:
     model, video_u8, M, config = _load_model_and_mask(args)
     out = outpaint_long(model, video_u8, M, args.clip_frames, args.overlap,
-                        config, make_schedule(), refine=not args.no_refine)
+                        config, refine=not args.no_refine)
     save_frames(args.out, out)
 
 

@@ -89,9 +89,9 @@ def sample(model, z_masked: np.ndarray, m: np.ndarray, text_embed, config: Sampl
     entry. At cfg_scale 1 texts is [text_embed]; otherwise it is
     [text_embed, None], so the guidance pair runs as one batched forward.
     Each strided step uses the effective alpha over the skipped range and
-    adds noise with the matching variance; after the smallest processed
-    timestep the clean estimate is returned directly instead of taking a
-    final stochastic step. Output is a pure function of (weights, inputs,
+    adds noise with the matching variance; the smallest processed timestep
+    returns the clean estimate, with no final stochastic step. At a fixed
+    BLAS thread count the output is a pure function of (weights, inputs,
     seed). A non-finite result raises NumericalError.
     """
     rng = np.random.default_rng(config.seed)

@@ -8,6 +8,7 @@ import numpy as np
 
 from .backbone import Backbone, BackboneConfig, tokenize
 from .control import ControlBranch, standardize
+from .diffusion import make_schedule
 from .nn import Module
 from .tensor import Tensor, no_grad
 
@@ -42,6 +43,7 @@ class OutpaintingModel(Module):
         self.backbone = Backbone(cfg, rng)
         self.control = ControlBranch(rng, cfg)
         self.cfg = cfg
+        self.sched = make_schedule()  # the noise schedule training and sampling read
 
     def condition(self, z_masked: np.ndarray, m: np.ndarray) -> Condition:
         """The step-invariant part of the denoiser's input, built once per

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codec import band_mask, decode, downsample_mask, encode, masked_input
-from .diffusion import Schedule, SamplerConfig, sample
+from .diffusion import SamplerConfig, sample
 from .longvideo import build_condition, plan_clips, refine_clip
 from .util import from_u8, round_half_away, to_u8
 
@@ -47,22 +47,20 @@ def make_eval_mask(spec: EvalMaskSpec, H: int, W: int, S: int) -> np.ndarray:
     return band_mask(H, W, S, spec.direction == "horizontal", first, total - first)
 
 
-def outpaint_video(model, video: np.ndarray, M: np.ndarray, config: SamplerConfig,
-                   sched: Schedule) -> np.ndarray:
+def outpaint_video(model, video: np.ndarray, M: np.ndarray, config: SamplerConfig) -> np.ndarray:
     """Outpaint one clip: mask, encode, sample, decode, blend.
 
     video: (H, W, S, 3) floats in [0,1]; M: (H, W, S, 1) binary given-region
     mask. The given region of the result is the input bit-exact.
     """
     video = np.asarray(video, dtype=np.float64)
-    x_masked = masked_input(video, M)
-    z0 = sample(model, encode(x_masked), downsample_mask(M),
-                model.text_vector(), config, sched)
+    z0 = sample(model, encode(masked_input(video, M)), downsample_mask(M),
+                model.text_vector(), config, model.sched)
     return masked_input(video, M, np.clip(decode(z0), 0.0, 1.0))
 
 
 def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: int,
-                  config: SamplerConfig, sched: Schedule, refine: bool = True) -> np.ndarray:
+                  config: SamplerConfig, refine: bool = True) -> np.ndarray:
     """Outpaint a long video clip by clip into one output video.
 
     The output is allocated once, in the input's layout. Each clip after
@@ -89,7 +87,7 @@ def outpaint_long(model, video_u8: np.ndarray, M: np.ndarray, S_clip: int, K: in
             overlap = video[:, :, a:a + K]
             z_masked, m = build_condition(encode(from_u8(overlap)), z_masked, m)
         cfg_i = replace(config, seed=config.seed + i)
-        z0 = sample(model, z_masked, m, model.text_vector(), cfg_i, sched)
+        z0 = sample(model, z_masked, m, model.text_vector(), cfg_i, model.sched)
         out = to_u8(decode(z0))
         if i > 0 and refine:
             out = refine_clip(out, overlap)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .backbone import BackboneConfig
 from .codec import band_mask, downsample_mask, encode, latent_shape, masked_input
-from .diffusion import Schedule, make_schedule, predict_z0, q_sample
+from .diffusion import Schedule, predict_z0, q_sample
 from .errors import NumericalError
 from .model import OutpaintingModel
 from .tensor import Tensor, reduce_stats
@@ -176,6 +176,7 @@ _RECORD_KEYS = {"model": ("n_blocks", "d_model", "n_heads", "gamma", "control_hi
                 "loss": ("beta", "t_latent")}
 # ranges a run needs that no record checks itself; every float must also be finite
 _VALID = {
+    "seed": (lambda v: v >= 0, ">= 0"),
     "steps": (lambda v: v >= 1, ">= 1"),
     "lr": (lambda v: v > 0, "> 0"),
     "text_drop": (lambda v: 0 <= v <= 1, "in [0, 1]"),
@@ -243,9 +244,9 @@ def parse_train_config(text: str) -> TrainConfig:
 
 
 def train(model: OutpaintingModel, cfg: TrainConfig, log=None) -> list:
-    """Run the loop on fresh synthetic draws under the default noise
+    """Run the loop on fresh synthetic draws under the model's noise
     schedule; returns per-step loss dicts. Deterministic under seed."""
-    sched = make_schedule()
+    sched = model.sched
     rng = np.random.default_rng(cfg.seed)
     H, W, S = cfg.shape
     opt = SGD(model.trainable_params(cfg.restricted), lr=cfg.lr, momentum=cfg.momentum)

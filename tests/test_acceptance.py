@@ -464,6 +464,7 @@ def test_09_outpainting_beats_mid_gray_baseline():
     M = make_eval_mask(EvalMaskSpec(0.25), 16, 16, 8)
 
     model = OutpaintingModel(BackboneConfig(), seed=0)
+    model.sched = sched
     opt = SGD(model.trainable_params(), lr=1e-2, momentum=0.9)
     loss_cfg = LossConfig(t_latent=80)
     rng = np.random.default_rng(1)
@@ -472,8 +473,7 @@ def test_09_outpainting_beats_mid_gray_baseline():
         eps = rng.standard_normal((4, 4, 8, 48))
         train_step(model, TrainSample(video, M, t, eps), loss_cfg, opt, sched)
 
-    out = outpaint_video(model, video, M,
-                         SamplerConfig(steps=100, cfg_scale=1.0, seed=0), sched)
+    out = outpaint_video(model, video, M, SamplerConfig(steps=100, cfg_scale=1.0, seed=0))
     assert out.shape == video.shape
     sel = np.broadcast_to(M == 1.0, video.shape)
     np.testing.assert_array_equal(out[sel], video[sel])  # given region bit-exact

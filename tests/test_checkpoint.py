@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from outpainter.backbone import BackboneConfig
 from outpainter.checkpoint import load_arrays, load_model, save_arrays, save_model
 from outpainter.cli import entry
+from outpainter.diffusion import make_schedule
 from outpainter.model import OutpaintingModel
 
 
@@ -152,6 +153,49 @@ def test_loaded_model_same_prediction(tmp_path):
     a = model.predict_eps(z, 100, zm, m, model.text_vector())
     b = loaded.predict_eps(z, 100, zm, m, loaded.text_vector())
     np.testing.assert_array_equal(a, b)
+
+
+def test_loaded_model_samples_on_the_default_schedule(tmp_path):
+    path = tmp_path / "model.bin"
+    tiny_checkpoint(path)
+    got = load_model(str(path)).sched
+    assert got.T == make_schedule().T
+    assert got.alpha_bar.tobytes() == make_schedule().alpha_bar.tobytes()
+
+
+def with_weight(path, name, value):
+    arrays = load_arrays(str(path))
+    arrays[name].flat[0] = value
+    save_arrays(str(path), arrays)
+
+
+NON_FINITE = [np.inf, -np.inf, np.nan]
+# a tanh saturates +-inf in the first two, so the forward stays finite and
+# only the load can tell that the output is wrong
+WEIGHTS = ["backbone.blocks.0.scaler.fc1.W", "backbone.blocks.1.mlp_fc1.W", "control.conv1.W"]
+
+
+@pytest.mark.parametrize("name", WEIGHTS)
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_non_finite_weight_rejected(tmp_path, name, value):
+    path = tmp_path / "model.bin"
+    tiny_checkpoint(path)
+    with_weight(path, name, value)
+    with pytest.raises(ValueError) as info:
+        load_model(str(path))
+    assert str(info.value) == f"{path}: {name} holds non-finite values"
+
+
+@pytest.mark.parametrize("name", WEIGHTS[:2])
+def test_non_finite_weight_is_one_line_exit_2(tmp_path, capsys, name):
+    path, seq, out = tmp_path / "model.bin", tmp_path / "seq", tmp_path / "o"
+    tiny_checkpoint(path)
+    with_weight(path, name, np.inf)
+    assert entry(["synth", "--out", str(seq), "--shape", "8x8x2", "--seed", "0"]) == 0
+    assert entry(["outpaint", "--model", str(path), "--input", str(seq),
+                  "--out", str(out), "--mask-ratio", "0.5", "--steps", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {name} holds non-finite values\n"
+    assert not out.exists()
 
 
 def test_truncated_file_rejected(tmp_path):

@@ -254,20 +254,58 @@ def test_exit_code_bad_checkpoint_manifest(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_exit_code_non_finite_weights(tmp_path, capsys):
+def outpaint_with_head_weights(tmp_path, value) -> int:
     net = OutpaintingModel(BackboneConfig(n_blocks=2, d_model=16, n_heads=2, control_hidden=8),
                            seed=0)
-    net.backbone.head.W.data[:] = np.nan
+    net.backbone.head.W.data[:] = value
     model = tmp_path / "m.bin"
     save_model(str(model), net)
     seq, out = tmp_path / "seq", tmp_path / "o"
     entry(["synth", "--out", str(seq), "--shape", "8x8x2", "--seed", "7"])
-    assert entry(["outpaint", "--model", str(model), "--input", str(seq),
-                  "--out", str(out), "--mask-ratio", "0.25", "--steps", "5"]) == 3
+    code = entry(["outpaint", "--model", str(model), "--input", str(seq),
+                  "--out", str(out), "--mask-ratio", "0.25", "--steps", "5"])
     assert not out.exists()
+    return code
+
+
+def test_exit_code_non_finite_weights(tmp_path, capsys):
+    """A checkpoint holding NaN is refused at load, before any sampling."""
+    assert outpaint_with_head_weights(tmp_path, np.nan) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'm.bin'}: backbone.head.W holds non-finite values\n"
+
+
+def test_exit_code_weights_that_overflow_while_sampling(tmp_path, capsys):
+    """Finite weights whose prediction overflows: the sampler's own check exits 3."""
+    assert outpaint_with_head_weights(tmp_path, 1e300) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "c.txt", "--out", "m.bin"],
+    ["outpaint", "--model", "m.bin", "--input", "seq", "--out", "o", "--mask-ratio", "0.5"],
+    ["outpaint-long", "--model", "m.bin", "--input", "seq", "--out", "o",
+     "--mask-ratio", "0.5"],
+    ["synth", "--out", "o"],
+])
+def test_negative_seed_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert entry(argv + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "usage error: argument --seed: must be >= 0, got -1\n"
+    assert entry(argv + ["--seed", "x"]) == 1
+    assert capsys.readouterr().err == "usage error: argument --seed: invalid int value: 'x'\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_negative_seed_in_train_config_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("shape=8x8x2\nsteps=1\nseed = -3\n")
+    out = tmp_path / "m.bin"
+    assert entry(["train", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: line 3: bad seed value '-3': must be >= 0\n"
+    assert not out.exists()
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):

@@ -5,13 +5,11 @@ import pytest
 
 from outpainter.backbone import BackboneConfig
 from outpainter.codec import decode, downsample_mask, encode
-from outpainter.diffusion import SamplerConfig, make_schedule
+from outpainter.diffusion import SamplerConfig, make_schedule, sample
 from outpainter.model import OutpaintingModel
 from outpainter.pipeline import (EvalMaskSpec, make_eval_mask, masked_input,
                                  outpaint_long, outpaint_video)
 from outpainter.util import from_u8, to_u8
-
-SCHED = make_schedule()
 
 
 def tiny_model(seed=0):
@@ -103,7 +101,7 @@ def test_outpaint_video_given_region_bit_exact():
     rng = np.random.default_rng(2)
     video = rng.random((8, 8, 4, 3))
     M = make_eval_mask(EvalMaskSpec(0.5), 8, 8, 4)
-    out = outpaint_video(model, video, M, SamplerConfig(steps=3, cfg_scale=1.0, seed=0), SCHED)
+    out = outpaint_video(model, video, M, SamplerConfig(steps=3, cfg_scale=1.0, seed=0))
     assert out.shape == video.shape
     assert (out >= 0).all() and (out <= 1).all()
     sel = np.broadcast_to(M == 1.0, video.shape)
@@ -117,11 +115,41 @@ def test_outpaint_video_deterministic():
     rng = np.random.default_rng(3)
     video = rng.random((8, 8, 2, 3))
     M = make_eval_mask(EvalMaskSpec(0.5), 8, 8, 2)
-    a = outpaint_video(model, video, M, SamplerConfig(steps=2, cfg_scale=3.0, seed=7), SCHED)
-    b = outpaint_video(model, video, M, SamplerConfig(steps=2, cfg_scale=3.0, seed=7), SCHED)
-    c = outpaint_video(model, video, M, SamplerConfig(steps=2, cfg_scale=3.0, seed=8), SCHED)
+    a = outpaint_video(model, video, M, SamplerConfig(steps=2, cfg_scale=3.0, seed=7))
+    b = outpaint_video(model, video, M, SamplerConfig(steps=2, cfg_scale=3.0, seed=7))
+    c = outpaint_video(model, video, M, SamplerConfig(steps=2, cfg_scale=3.0, seed=8))
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_outpaint_video_samples_on_the_model_schedule():
+    """The sampler runs on model.sched: a T=50 model gives exactly the
+    round trip through sample() on a T=50 schedule."""
+    model = tiny_model()
+    model.sched = make_schedule(T=50)
+    video = np.random.default_rng(4).random((8, 8, 2, 3))
+    M = make_eval_mask(EvalMaskSpec(0.5), 8, 8, 2)
+    config = SamplerConfig(steps=5, cfg_scale=3.0, seed=2)
+    z0 = sample(model, encode(masked_input(video, M)), downsample_mask(M),
+                model.text_vector(), config, make_schedule(T=50))
+    want = masked_input(video, M, np.clip(decode(z0), 0.0, 1.0))
+    np.testing.assert_array_equal(outpaint_video(model, video, M, config), want)
+    assert not np.array_equal(outpaint_video(tiny_model(), video, M, config), want)
+
+
+def test_outpaint_long_samples_every_clip_on_the_model_schedule(monkeypatch):
+    seen = []
+
+    def spy_sample(model, z_masked, m, text_embed, config, sched):
+        seen.append(sched)
+        return sample(model, z_masked, m, text_embed, config, sched)
+
+    monkeypatch.setattr("outpainter.pipeline.sample", spy_sample)
+    model = tiny_model()
+    model.sched = make_schedule(T=20)
+    video_u8, M = make_long_inputs()
+    outpaint_long(model, video_u8, M, 4, 2, config=SamplerConfig(steps=2, cfg_scale=1.0))
+    assert len(seen) == 2 and all(sched is model.sched for sched in seen)
 
 
 class CountingModel:
@@ -160,9 +188,9 @@ def test_outpaint_video_validation():
     M[:, 2:6] = 1.0
     for video, mask in bad_inputs(np.zeros((8, 8, 2, 3)), M):
         with pytest.raises(ValueError):
-            outpaint_video(model, video, mask, SamplerConfig(steps=2), SCHED)
+            outpaint_video(model, video, mask, SamplerConfig(steps=2))
     assert model.calls == 0
-    outpaint_video(model, np.zeros((8, 8, 2, 3)), M, SamplerConfig(steps=2), SCHED)
+    outpaint_video(model, np.zeros((8, 8, 2, 3)), M, SamplerConfig(steps=2))
     assert model.calls > 0  # the counter sees the calls a run makes
 
 
@@ -177,7 +205,7 @@ def test_outpaint_long_shape_dtype_and_given_region():
     model = tiny_model()
     video_u8, M = make_long_inputs()
     cfg = SamplerConfig(steps=2, cfg_scale=1.0, seed=0)
-    out = outpaint_long(model, video_u8, M, S_clip=4, K=2, config=cfg, sched=SCHED)
+    out = outpaint_long(model, video_u8, M, S_clip=4, K=2, config=cfg)
     assert out.shape == video_u8.shape
     assert out.dtype == np.uint8
     sel = np.broadcast_to(M == 1.0, video_u8.shape)
@@ -189,8 +217,8 @@ def test_outpaint_long_first_clip_matches_single_clip_call():
     model = tiny_model()
     video_u8, M = make_long_inputs()
     cfg = SamplerConfig(steps=2, cfg_scale=1.0, seed=5)
-    long_out = outpaint_long(model, video_u8, M, S_clip=4, K=2, config=cfg, sched=SCHED)
-    single = outpaint_video(model, from_u8(video_u8[:, :, :4]), M[:, :, :4], cfg, SCHED)
+    long_out = outpaint_long(model, video_u8, M, S_clip=4, K=2, config=cfg)
+    single = outpaint_video(model, from_u8(video_u8[:, :, :4]), M[:, :, :4], cfg)
     np.testing.assert_array_equal(long_out[:, :, :4], to_u8(single))
 
 
@@ -198,11 +226,11 @@ def test_outpaint_long_deterministic():
     model = tiny_model()
     video_u8, M = make_long_inputs()
     cfg = SamplerConfig(steps=2, cfg_scale=1.0, seed=1)
-    a = outpaint_long(model, video_u8, M, 4, 2, config=cfg, sched=SCHED)
-    b = outpaint_long(model, video_u8, M, 4, 2, config=cfg, sched=SCHED)
+    a = outpaint_long(model, video_u8, M, 4, 2, config=cfg)
+    b = outpaint_long(model, video_u8, M, 4, 2, config=cfg)
     np.testing.assert_array_equal(a, b)
     c = outpaint_long(model, video_u8, M, 4, 2,
-                      config=SamplerConfig(steps=2, cfg_scale=1.0, seed=2), sched=SCHED)
+                      config=SamplerConfig(steps=2, cfg_scale=1.0, seed=2))
     assert not np.array_equal(a, c)
 
 
@@ -211,6 +239,7 @@ class SpyModel:
 
     def __init__(self, inner):
         self.inner = inner
+        self.sched = inner.sched
         self.calls = []
 
     def condition(self, z_masked, m):
@@ -232,7 +261,7 @@ def test_outpaint_long_overlap_conditioning():
     video_u8, M = make_long_inputs()
     steps = 2
     cfg = SamplerConfig(steps=steps, cfg_scale=1.0, seed=0)
-    out = outpaint_long(spy, video_u8, M, S_clip=4, K=2, config=cfg, sched=SCHED)
+    out = outpaint_long(spy, video_u8, M, S_clip=4, K=2, config=cfg)
     # clips: [0,4) then [2,6); each samples `steps` times at cfg_scale 1
     assert len(spy.calls) == 2 * steps
     prev_frames = from_u8(out[:, :, 2:4])  # first clip's output at the overlap
@@ -254,7 +283,7 @@ def test_outpaint_long_overlap_spans_earlier_clips():
     video_u8, M = make_long_inputs(S_l=7)
     steps, K = 2, 3
     cfg = SamplerConfig(steps=steps, cfg_scale=1.0, seed=3)
-    out = outpaint_long(spy, video_u8, M, S_clip=4, K=K, config=cfg, sched=SCHED)
+    out = outpaint_long(spy, video_u8, M, S_clip=4, K=K, config=cfg)
     assert len(spy.calls) == 4 * steps
     for i, a in enumerate((1, 2, 3), start=1):
         want_latents = encode(from_u8(out[:, :, a:a + K]))
@@ -281,7 +310,7 @@ def test_outpaint_long_earliest_clip_wins(monkeypatch):
     monkeypatch.setattr("outpainter.pipeline.sample", constant_sample)
     video_u8, M = make_long_inputs(S_l=11)
     cfg = SamplerConfig(steps=2, cfg_scale=1.0, seed=seed)
-    out = outpaint_long(tiny_model(), video_u8, M, S_clip=5, K=K, config=cfg, sched=SCHED,
+    out = outpaint_long(tiny_model(), video_u8, M, S_clip=5, K=K, config=cfg,
                         refine=False)
     assert len(conditions) == len(starts)
     generated = M[..., 0] == 0.0
@@ -297,7 +326,7 @@ def test_outpaint_long_rejects_float_input():
     video_u8, M = make_long_inputs()
     with pytest.raises(ValueError):
         outpaint_long(model, video_u8.astype(np.float64), M, 4, 2,
-                      config=SamplerConfig(steps=2), sched=SCHED)
+                      config=SamplerConfig(steps=2))
 
 
 def test_outpaint_long_validation():
@@ -305,5 +334,5 @@ def test_outpaint_long_validation():
     video_u8, M = make_long_inputs()
     for video, mask in bad_inputs(video_u8, M):
         with pytest.raises(ValueError):
-            outpaint_long(model, video, mask, 4, 2, config=SamplerConfig(steps=2), sched=SCHED)
+            outpaint_long(model, video, mask, 4, 2, config=SamplerConfig(steps=2))
     assert model.calls == 0

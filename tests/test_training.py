@@ -430,6 +430,21 @@ def test_parse_train_config_round_trip(case):
     assert parse_train_config(text) == cfg
 
 
+def test_parse_train_config_refuses_negative_seed():
+    with pytest.raises(ValueError) as info:
+        parse_train_config("steps=2\nseed = -3\n")
+    assert str(info.value) == "line 2: bad seed value '-3': must be >= 0"
+    assert parse_train_config("seed=0\n").seed == 0
+
+
+def test_train_draws_timesteps_from_the_model_schedule():
+    model = _tiny_model()
+    model.sched = make_schedule(T=10)
+    cfg = TrainConfig(shape=(8, 8, 2), steps=30, lr=1e-3, seed=2, model=model.cfg)
+    ts = [step["t"] for step in train(model, cfg)]
+    assert all(1 <= t <= 10 for t in ts) and len(set(ts)) > 1
+
+
 def test_train_loop_deterministic_and_logs():
     def run():
         model = _tiny_model()

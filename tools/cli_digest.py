@@ -39,7 +39,7 @@ import numpy as np  # noqa: E402
 from outpainter.checkpoint import load_model  # noqa: E402
 from outpainter.cli import entry  # noqa: E402
 from outpainter.codec import downsample_mask, encode, masked_input  # noqa: E402
-from outpainter.diffusion import SamplerConfig, make_schedule, sample  # noqa: E402
+from outpainter.diffusion import SamplerConfig, sample  # noqa: E402
 from outpainter.frameio import load_frames  # noqa: E402
 from outpainter.pipeline import EvalMaskSpec, make_eval_mask  # noqa: E402
 from outpainter.util import from_u8  # noqa: E402
@@ -143,7 +143,7 @@ def _sample_lines() -> list:
         M = make_eval_mask(EvalMaskSpec(0.25), *video.shape[:3])
         z0 = sample(model, encode(masked_input(video, M)), downsample_mask(M),
                     model.text_vector(), SamplerConfig(steps=3, cfg_scale=cfg_scale, seed=seed),
-                    make_schedule())
+                    model.sched)
         digest = hashlib.sha256(np.ascontiguousarray(z0, dtype=np.float64).tobytes())
         lines.append(f"{digest.hexdigest()}  sample/{name}.f64")
     return lines
